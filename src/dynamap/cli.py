@@ -72,16 +72,18 @@ def _obtain_series(config: SweepConfig, out: Path, n_steps: int) -> DynamicalMap
 
 
 def _cmd_generate(config: SweepConfig, out: Path, args) -> int:
-    series = harness.generate_maps(config)
-    serialization.write_map_series(out / "maps.dmap", series)
+    coeffs = None
     if args.dump_eta and isinstance(config.propagator, QuapiPropagator):
         coeffs = eta_coefficients(
             config.bath, config.system.temperature, config.dt, config.propagator.kmax
         )
+    series = harness.generate_maps(config, coeffs=coeffs)
+    serialization.write_map_series(out / "maps.dmap", series)
+    if coeffs is not None:
         with open(out / "eta.csv", "w", newline="\n") as fh:
             fh.write("k,re,im\n")
             for k, val in enumerate(coeffs.eta):
-                fh.write(f"{k},{val.real!r},{val.imag!r}\n")
+                fh.write(f"{k},{float(val.real)!r},{float(val.imag)!r}\n")
     return 0
 
 

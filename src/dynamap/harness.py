@@ -38,6 +38,7 @@ from .models import (
 )
 from .numerics import DEFAULT_NUMERICS, NumericsConfig
 from .propagators import (
+    InfluenceCoefficients,
     embedding_propagate,
     embedding_state,
     eta_coefficients,
@@ -406,12 +407,21 @@ def _lindblad_gen(system: SystemSpec, prop: LindbladPropagator) -> np.ndarray:
     return lindblad_generator(system.h_s, [_JUMP_OPS[prop.jump]], [prop.rate])
 
 
-def generate_maps(config: SweepConfig, n_steps: int | None = None) -> DynamicalMapSeries:
-    """Short-time cumulative maps from the configured propagator."""
+def generate_maps(
+    config: SweepConfig,
+    n_steps: int | None = None,
+    coeffs: InfluenceCoefficients | None = None,
+) -> DynamicalMapSeries:
+    """Short-time cumulative maps from the configured propagator.
+
+    ``coeffs`` are the path-integral influence coefficients when the caller
+    already has them; otherwise a path-integral propagator computes them.
+    """
     n = n_steps if n_steps is not None else config.n_short
     prop = config.propagator
     if isinstance(prop, QuapiPropagator):
-        coeffs = eta_coefficients(config.bath, config.system.temperature, config.dt, prop.kmax)
+        if coeffs is None:
+            coeffs = eta_coefficients(config.bath, config.system.temperature, config.dt, prop.kmax)
         return quapi_propagate(config.system, coeffs, n)
     if isinstance(prop, EmbeddingPropagator):
         spec = EmbeddingSpec(

@@ -35,8 +35,9 @@ class NumericsConfig:
     quad_rtol: float = 1e-8
     eta_rtol: float = 1e-7
     support_floor: float = 1e-12      # spectral-density support cutoff, relative to peak
-    # path-tensor propagation budget, in tensor entries
-    memory_budget: float = 2.0**64
+    # path-tensor propagation budget, in bytes of its largest intermediate
+    # (16 (D^2)^(kmax+2)); the default admits kmax = 12 at D = 2
+    memory_budget: float = 2.0**32
 
 
 DEFAULT_NUMERICS = NumericsConfig()

@@ -8,8 +8,9 @@ and time-local extrapolation machinery.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -25,6 +26,7 @@ from .models import (
     EmbeddingSpec,
     SpectralDensity,
     SystemSpec,
+    _segments,
     bath_correlation,
     build_embedding,
 )
@@ -89,7 +91,8 @@ class InfluenceCoefficients:
     """Discretized bath influence: eta[k] couples path windows k steps apart.
 
     eta[0] is the double integral of C(t' - t'') over the ordered half of one
-    step window; eta[k] integrates C over a pair of windows at lag k.
+    step window; eta[k] integrates C over a pair of windows at lag k. Both
+    are one frequency integral each (see :func:`eta_coefficients`).
     """
 
     dt: float
@@ -104,18 +107,9 @@ class InfluenceCoefficients:
         object.__setattr__(self, "eta", eta)
 
 
-@lru_cache(maxsize=200_000)
-def _corr_cached(sd: SpectralDensity, temperature: float, t: float) -> complex:
-    return bath_correlation(sd, temperature, t)
-
-
-def _window_quad(f, a, b, rtol, scale):
-    re, re_err, *_ = quad(lambda x: f(x).real, a, b, epsabs=1e-14, epsrel=rtol, limit=200, full_output=1)
-    im, im_err, *_ = quad(lambda x: f(x).imag, a, b, epsabs=1e-14, epsrel=rtol, limit=200, full_output=1)
-    err = max(re_err, im_err)
-    if err > max(rtol * abs(complex(re, im)), 1e-10 * max(scale, 1e-30), 1e-13):
-        raise QuadratureFailure(err)
-    return complex(re, im)
+#: segments with b (k+1) dt below this phase are integrated whole for eta_k;
+#: above it the window factor is split into cos/sin-weighted pieces
+_SPLIT_PHASE = 20.0
 
 
 def eta_coefficients(
@@ -125,35 +119,108 @@ def eta_coefficients(
     kmax: int,
     numerics: NumericsConfig = DEFAULT_NUMERICS,
 ) -> InfluenceCoefficients:
-    """Window integrals of the bath correlation function.
+    """Window integrals of the bath correlation function, one frequency
+    integral per coefficient.
 
-    The pair-window integral over windows at lag k >= 1 reduces exactly to a
-    single integral with a triangular weight,
+    The windows are eta_0 = int_0^dt (dt - u) C(u) du and, for k >= 1,
+    eta_k = int_{-dt}^{dt} (dt - |u|) C(k dt + u) du. Doing the window
+    integral first leaves one integral over the spectral density (Makri &
+    Makarov, J. Chem. Phys. 102, 4600 (1995)):
 
-        eta_k = int_{-dt}^{dt} (dt - |u|) C(k dt + u) du,
+        eta_0 = int J/w^2 [coth(w/2T) 2 sin^2(w dt/2) + i (sin w dt - w dt)] dw
+        eta_k = int J 4 sin^2(w dt/2)/w^2 [coth(w/2T) cos k w dt - i sin k w dt] dw
 
-    and the diagonal window gives eta_0 = int_0^dt (dt - u) C(u) du. Both are
-    evaluated by adaptive quadrature on top of the adaptive quadrature inside
-    C itself.
+    that is eta_0 = g(dt) for the lineshape function g, and eta_k is the
+    second difference of g at k dt taken inside the integrand. The integral
+    runs over the decade segments of the bath correlation. On a segment
+    [a, b] with b (k+1) dt < 20 the integrand is integrated whole. Above
+    that, 4 sin^2(x/2) cos kx = 2 cos kx - cos (k+1)x - cos (k-1)x (and the
+    same for sin) turns it into cos/sin-weighted quadratures of J coth/w^2
+    and J/w^2 at lags (k-1) dt, k dt and (k+1) dt, shared between
+    neighbouring k; eta_0 there takes dt int J/w as its linear term.
+
+    Error rule: for each coefficient the summed error estimates of its
+    quadratures must stay below max(eta_rtol |eta_k|, 1e-10 |C(0)| dt^2,
+    1e-13); otherwise :class:`~dynamap.errors.QuadratureFailure` is raised.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
+    eta = np.zeros(kmax + 1, dtype=complex)
+    breaks = _segments(sd, numerics)
+    if breaks.size < 2:
+        return InfluenceCoefficients(dt=dt, kmax=kmax, eta=eta)
     rtol = numerics.eta_rtol
-    scale = abs(_corr_cached(sd, temperature, 0.0)) * dt**2
-    eta = np.empty(kmax + 1, dtype=complex)
-    eta[0] = _window_quad(
-        lambda u: (dt - u) * _corr_cached(sd, temperature, u), 0.0, dt, rtol, scale
-    )
-    for k in range(1, kmax + 1):
-        eta[k] = _window_quad(
-            lambda u: (dt - abs(u)) * _corr_cached(sd, temperature, k * dt + u),
-            -dt,
-            dt,
-            rtol,
-            scale,
+    floor = max(1e-10 * abs(bath_correlation(sd, temperature, 0.0, numerics)) * dt**2, 1e-13)
+    # each coefficient sums a few quadratures per segment, and the split
+    # pieces cancel against each other, so every quadrature aims well below
+    # the coefficient's tolerance
+    epsabs = 0.1 * floor / breaks.size
+    epsrel = 1e-5 * rtol
+
+    def sym(w):
+        j = float(sd.profile(w))
+        return j / math.tanh(w / (2.0 * temperature)) if temperature > 0 else j
+
+    def odd(w):
+        return float(sd.profile(w))
+
+    def integrate(f, a, b, **weight):
+        val, err, *_ = quad(
+            f, a, b, epsabs=epsabs, epsrel=epsrel, limit=200, full_output=1, **weight
         )
+        return val, err
+
+    @cache
+    def piece(part, m, a, b):
+        """(int_a^b F(w)/w^2 trig(m dt w) dw, error) with (F, trig) = (sym,
+        cos) or (odd, sin)."""
+        if part == "sin" and m == 0:
+            return 0.0, 0.0
+        f = sym if part == "cos" else odd
+        weight = {"weight": part, "wvar": m * dt} if m else {}
+        return integrate(lambda w: f(w) / (w * w), a, b, **weight)
+
+    def window(w):
+        return (2.0 * math.sin(0.5 * w * dt) / w) ** 2
+
+    for k in range(kmax + 1):
+        total = 0.0j
+        err = 0.0
+        for a, b in zip(breaks[:-1], breaks[1:]):
+            if b * (k + 1) * dt < _SPLIT_PHASE:
+                if k == 0:
+                    re, re_err = integrate(lambda w: 0.5 * sym(w) * window(w), a, b)
+                    im, im_err = integrate(
+                        lambda w: odd(w) * (math.sin(w * dt) - w * dt) / (w * w), a, b
+                    )
+                else:
+                    re, re_err = integrate(
+                        lambda w: sym(w) * window(w) * math.cos(k * w * dt), a, b
+                    )
+                    im, im_err = integrate(
+                        lambda w: -odd(w) * window(w) * math.sin(k * w * dt), a, b
+                    )
+                total += complex(re, im)
+                err += re_err + im_err
+            elif k == 0:
+                (c0, c0_err), (c1, c1_err), (s1, s1_err) = (
+                    piece("cos", 0, a, b), piece("cos", 1, a, b), piece("sin", 1, a, b)
+                )
+                lin, lin_err = integrate(lambda w: odd(w) / w, a, b)
+                total += complex(c0 - c1, s1 - dt * lin)
+                err += c0_err + c1_err + s1_err + dt * lin_err
+            else:
+                for part, unit in (("cos", 1.0), ("sin", -1.0j)):
+                    (lo, lo_err), (mid, mid_err), (hi, hi_err) = (
+                        piece(part, m, a, b) for m in (k - 1, k, k + 1)
+                    )
+                    total += unit * (2.0 * mid - lo - hi)
+                    err += 2.0 * mid_err + lo_err + hi_err
+        if err > max(rtol * abs(total), floor):
+            raise QuadratureFailure(err)
+        eta[k] = total
     return InfluenceCoefficients(dt=dt, kmax=kmax, eta=eta)
 
 
@@ -172,8 +239,9 @@ def quapi_propagate(
     Works in the eigenbasis of the coupling operator; the system propagator is
     split symmetrically around the influence insertions, and path variables
     further apart than ``coeffs.kmax`` steps are decoupled. All D^2 initial
-    basis operators propagate together as one batch, which is what the memory
-    guard (D^2)^kmax * D^2 counts.
+    basis operators propagate together as one batch; the memory guard compares
+    the largest intermediate, 16 (D^2)^(kmax+2) bytes, with
+    ``numerics.memory_budget``.
 
     When the system Hamiltonian commutes with the coupling operator the path
     variables never mix, the sum collapses onto constant paths, and an exact
@@ -241,9 +309,12 @@ def _propagate_commuting(energies, dt, n_steps, kmax, self_phi, lag_phi, d2):
 
 def _propagate_dense(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, numerics):
     """Augmented-tensor recursion over the last ``kmax`` path variables."""
-    if float(d2) ** kmax * d2 > numerics.memory_budget:
+    # the largest array is ``expanded``: batch, kmax history variables, the
+    # latest and the new path variable, complex128
+    peak_bytes = 16 * d2 ** (kmax + 2)
+    if peak_bytes > numerics.memory_budget:
         raise MemoryBudgetExceeded(
-            f"path tensor of (D^2)^kmax * D^2 = {float(d2)**kmax * d2:.3e} entries "
+            f"path tensor of 16 (D^2)^(kmax+2) = {peak_bytes:.3e} bytes "
             f"exceeds the budget {numerics.memory_budget:.3e}"
         )
     self_factor = np.exp(-self_phi)

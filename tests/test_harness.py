@@ -14,8 +14,9 @@ from dynamap.harness import (
     run_compare,
     trace_distance,
 )
-from dynamap.models import SystemSpec
+from dynamap.models import SubOhmicDensity, SystemSpec
 from dynamap.maps import pauli
+from dynamap.propagators import eta_coefficients
 
 
 def embedding_config(**overrides):
@@ -245,3 +246,9 @@ class TestCli:
         lines = (out / "eta.csv").read_text().splitlines()
         assert lines[0] == "k,re,im"
         assert len(lines) == 4
+        sd = SubOhmicDensity(alpha=0.2, s=0.7, omega_c=5.0)
+        expected = eta_coefficients(sd, 0.0, 0.08, 2).eta
+        for k, line in enumerate(lines[1:]):
+            idx, re, im = line.split(",")
+            assert int(idx) == k
+            assert complex(float(re), float(im)) == expected[k]

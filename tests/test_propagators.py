@@ -1,19 +1,24 @@
+from dataclasses import replace
+from functools import cache
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from conftest import EXCITED, SX, SZ
-from dynamap.errors import MemoryBudgetExceeded, NonDiagonalizableCoupling
+from dynamap.errors import MemoryBudgetExceeded, NonDiagonalizableCoupling, QuadratureFailure
 from dynamap.maps import expm, is_trace_preserving, vectorize, devectorize
 from dynamap.models import (
     DrudeLorentzDensity,
     EmbeddingSpec,
+    QDPhononDensity,
     SubOhmicDensity,
     SystemSpec,
     TabulatedDensity,
     bath_correlation,
     builtin_model,
 )
-from dynamap.numerics import NumericsConfig
+from dynamap.numerics import DEFAULT_NUMERICS, NumericsConfig
 from dynamap.propagators import (
     InfluenceCoefficients,
     embedding_propagate,
@@ -24,7 +29,10 @@ from dynamap.propagators import (
 
 SUB = SubOhmicDensity(alpha=0.2, s=0.7, omega_c=5.0)
 DL = DrudeLorentzDensity(lam=0.1, gamma=1.0)
+QD = QDPhononDensity(c_e=0.1271, c_h=-0.0635, omega_e=2.555, omega_h=2.938)
 ZERO = TabulatedDensity(omegas=(0.0, 1.0), values=(0.0, 0.0))
+# triangle with its kinks at decade breakpoints (peak 1, support cutoff 20)
+TRIANGLE = TabulatedDensity(omegas=(0.0, 1.0, 10.0), values=(0.0, 0.5, 0.0))
 
 
 def truncate(coeffs, kmax):
@@ -88,10 +96,56 @@ class TestEmbeddingPropagate:
         assert np.max(np.abs(direct - powered)) < 1e-10
 
 
+def window_integral(sd, temperature, dt, k):
+    """eta_k from its definition, int (dt - |u|) C(k dt + u) du over the
+    step window(s), by adaptive quadrature over bath_correlation."""
+    corr = cache(lambda t: bath_correlation(sd, temperature, t))
+    lo = 0.0 if k == 0 else -dt
+    points = None if k == 0 else [0.0]
+    re, im = (
+        quad(lambda u: part((dt - abs(u)) * corr(k * dt + u)), lo, dt, points=points,
+             epsabs=1e-14, epsrel=1e-10, limit=200)[0]
+        for part in (np.real, np.imag)
+    )
+    return complex(re, im)
+
+
 class TestEtaCoefficients:
     def test_zero_density_gives_zero(self):
         coeffs = eta_coefficients(ZERO, 0.0, 0.1, 4)
         assert np.max(np.abs(coeffs.eta)) == 0.0
+
+    @pytest.mark.parametrize(
+        "sd, temperature, dt, kmax",
+        [
+            (SUB, 0.0, 0.08, 5),
+            (DL, 0.0, 0.05, 5),
+            (DL, 1.0, 0.05, 10),
+            (QD, 0.0, 0.05, 8),
+            (TRIANGLE, 0.5, 0.1, 10),
+        ],
+        ids=["subohmic", "drude_lorentz", "drude_lorentz_T1", "qd_phonon", "tabulated_T0.5"],
+    )
+    def test_matches_window_integral_of_correlation(self, sd, temperature, dt, kmax):
+        coeffs = eta_coefficients(sd, temperature, dt, kmax)
+        for k in (0, 1, kmax):
+            oracle = window_integral(sd, temperature, dt, k)
+            assert abs(coeffs.eta[k] - oracle) <= 1e-7 * abs(oracle), k
+
+    def test_unreachable_eta_rtol_raises(self):
+        # linear interpolation between the nodes leaves kinks inside the
+        # decade segments, which holds the quadrature to ~1e-9 relative:
+        # enough for the default eta_rtol, not for 1e-12, where the rule's
+        # floor 1e-10 |C(0)| dt^2 is what remains. The coarser quad_rtol
+        # only lets C(0) itself through the kinks.
+        w = np.linspace(0.0, 8.0, 9)
+        kinked = TabulatedDensity(
+            omegas=tuple(w), values=tuple(0.3 * w * np.exp(-w / 2.0) * (w < 8.0))
+        )
+        numerics = NumericsConfig(quad_rtol=1e-5)
+        eta_coefficients(kinked, 0.0, 0.1, 5, numerics=numerics)
+        with pytest.raises(QuadratureFailure):
+            eta_coefficients(kinked, 0.0, 0.1, 5, numerics=replace(numerics, eta_rtol=1e-12))
 
     def test_diagonal_window_against_double_trapezoid(self):
         dt = 0.05
@@ -194,6 +248,17 @@ class TestQuapiPropagate:
         tight = NumericsConfig(memory_budget=100.0)
         with pytest.raises(MemoryBudgetExceeded):
             quapi_propagate(system, coeffs, 5, numerics=tight)
+
+    def test_memory_budget_is_peak_bytes(self):
+        # the dense recursion's largest array holds (D^2)^(kmax+2) complex128
+        system, _, _ = builtin_model("subohmic")
+        coeffs = InfluenceCoefficients(dt=0.08, kmax=3, eta=np.full(4, 0.01, dtype=complex))
+        peak = 16 * 4 ** (3 + 2)
+        with pytest.raises(MemoryBudgetExceeded):
+            quapi_propagate(system, coeffs, 5, numerics=NumericsConfig(memory_budget=peak - 1))
+        quapi_propagate(system, coeffs, 5, numerics=NumericsConfig(memory_budget=peak))
+        # the default still admits kmax = 8 at D = 2
+        assert 16 * 4 ** (8 + 2) <= DEFAULT_NUMERICS.memory_budget
 
     def test_non_hermitian_coupling_rejected(self):
         system = object.__new__(SystemSpec)

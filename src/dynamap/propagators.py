@@ -329,7 +329,7 @@ def _propagate_dense(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, numerics):
     maps = np.empty((n_steps, d2, d2), dtype=complex)
     # batch axis first: tensor[b, z_hist..., z_latest]
     tensor = k_half.T * self_factor[None, :]
-    maps[0] = k_half @ tensor.T
+    maps[0] = _readout(tensor, k_half)
     for n in range(2, n_steps + 1):
         hist = tensor.ndim - 1
         expanded = tensor[..., None] * step_kernel
@@ -343,6 +343,21 @@ def _propagate_dense(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, numerics):
             tensor = expanded.sum(axis=1)
         else:
             tensor = expanded
-        readout = tensor.sum(axis=tuple(range(1, tensor.ndim - 1)))
-        maps[n - 1] = k_half @ readout.T
+        maps[n - 1] = _readout(tensor, k_half)
     return maps
+
+
+def _readout(tensor, k_half):
+    """Map from the path tensor: k_half applied to the sum over all history
+    variables, accumulated in extended precision and rounded once.
+
+    Each map is read out on its own, so its rounding is uncorrelated with
+    that of its neighbours and passes undamped into the single-step maps
+    E(t_{n+1}, t_0) E(t_n, t_0)^{-1}. A double-precision sum over the
+    (D^2)^hist history terms followed by a double product leaves several
+    units in the last place; where ``np.longdouble`` is no wider than double
+    this reduces to that plain sum.
+    """
+    history = tensor.reshape(tensor.shape[0], -1, tensor.shape[-1])
+    total = history.sum(axis=1, dtype=np.clongdouble)
+    return (k_half.astype(np.clongdouble) @ total.T).astype(complex)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -25,6 +26,7 @@ from dynamap.propagators import (
     embedding_state,
     eta_coefficients,
     quapi_propagate,
+    _readout,
 )
 
 SUB = SubOhmicDensity(alpha=0.2, s=0.7, omega_c=5.0)
@@ -259,6 +261,34 @@ class TestQuapiPropagate:
         quapi_propagate(system, coeffs, 5, numerics=NumericsConfig(memory_budget=peak))
         # the default still admits kmax = 8 at D = 2
         assert 16 * 4 ** (8 + 2) <= DEFAULT_NUMERICS.memory_budget
+
+    def test_readout_rounded_once(self):
+        # each map entry sum_{h,l} k_half[a, l] tensor[b, h, l] against its
+        # exact rational value: within half an ulp plus the accumulation error
+        # of the platform's long double (about a tenth of an ulp on x86-64).
+        # Terms of similar phase, as in the propagator, keep that error small.
+        rng = np.random.default_rng(7)
+        shape = (4,) * 5  # batch, three history variables, latest
+        tensor = 1.0 + 0.2 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        k_half = 1.0 + 0.2 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        got = _readout(tensor, k_half)
+        history = tensor.reshape(4, -1, 4)
+        unit = 0.5 * float(np.finfo(np.longdouble).eps)
+        n_ops = history.shape[1] * 4 + 4
+        for a in range(4):
+            for b in range(4):
+                re = im = Fraction(0)
+                size = 0.0
+                for h in range(history.shape[1]):
+                    for l in range(4):
+                        kr, ki = Fraction(k_half[a, l].real), Fraction(k_half[a, l].imag)
+                        tr, ti = Fraction(history[b, h, l].real), Fraction(history[b, h, l].imag)
+                        re += kr * tr - ki * ti
+                        im += kr * ti + ki * tr
+                        size += 2.0 * abs(k_half[a, l]) * abs(history[b, h, l])
+                for part, exact in ((got[a, b].real, re), (got[a, b].imag, im)):
+                    bound = 0.5 * np.spacing(abs(float(exact))) + 2.0 * n_ops * unit * size
+                    assert abs(Fraction(part) - exact) <= Fraction(bound)
 
     def test_non_hermitian_coupling_rejected(self):
         system = object.__new__(SystemSpec)

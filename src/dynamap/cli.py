@@ -19,13 +19,11 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import harness, serialization
 from .errors import ConfigError, DynamapError, UnknownModel
 from .harness import QuapiPropagator, SweepConfig
 from .lindblad import rate_series
-from .maps import DynamicalMapSeries
+from .maps import DynamicalMapSeries, singular_values
 from .propagators import eta_coefficients
 from .timelocal import extrapolate_tl, local_maps, stationarity_profile
 from .ttm import decompose, extrapolate, tensor_norm_profile
@@ -130,8 +128,7 @@ def _cmd_rates(config: SweepConfig, out: Path, args) -> int:
 
 def _cmd_singvals(config: SweepConfig, out: Path, args) -> int:
     series = _obtain_series(config, out, config.n_short).head(config.n_short)
-    sv = np.array([np.linalg.svd(m, compute_uv=False) for m in series.maps])
-    harness.write_singvals_csv(out / "singvals.csv", series.times, sv)
+    harness.write_singvals_csv(out / "singvals.csv", series.times, singular_values(series.maps))
     return 0
 
 

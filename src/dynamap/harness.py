@@ -23,6 +23,7 @@ from .maps import (
     is_hermitian,
     lindblad_generator,
     pauli,
+    singular_values,
     vectorize,
 )
 from .models import (
@@ -508,7 +509,7 @@ def _compare_one(args) -> CompareRow:
     err_tl = np.nan
     tdist_tl = np.nan
     flagged = bool(local.flagged[k - 1])
-    if not flagged:
+    if not flagged and stab.stable:
         try:
             tl_states = extrapolate_tl(local, initial, k, n_ref)
         except StationaryMapFlagged:
@@ -560,12 +561,11 @@ def compare_series(
     rows = [replace(row, tau_c=float(tau)) for row, tau in zip(rows, config.tau_c)]
     rows.sort(key=lambda r: r.tau_c)
 
-    sv_table = np.array([np.linalg.svd(m, compute_uv=False) for m in short.maps])
     return CompareResult(
         rows=tuple(rows),
         stationarity=stationarity_profile(local),
         tensor_norms=tensor_norm_profile(tensors),
-        singular_values=(short.times, sv_table),
+        singular_values=(short.times, singular_values(short.maps)),
         exact_value=exact_val,
     )
 

@@ -37,17 +37,12 @@ __all__ = [
     "logm",
     "expm",
     "frobenius_diff",
-    "left_superop",
-    "right_superop",
-    "sandwich_superop",
     "hamiltonian_superop",
     "dissipator_superop",
     "lindblad_generator",
-    "identity_superop",
     "trace_functional",
     "is_trace_preserving",
     "is_hermitian",
-    "is_physical_state",
     "pauli",
     "matrix_units",
 ]
@@ -104,23 +99,6 @@ def devectorize(vec: np.ndarray) -> np.ndarray:
 # superoperator constructors
 # ---------------------------------------------------------------------------
 
-def left_superop(a: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> a @ rho."""
-    a = np.asarray(a, dtype=complex)
-    return np.kron(np.eye(a.shape[0]), a)
-
-
-def right_superop(b: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> rho @ b."""
-    b = np.asarray(b, dtype=complex)
-    return np.kron(b.T, np.eye(b.shape[0]))
-
-
-def sandwich_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> a @ rho @ b."""
-    return np.kron(np.asarray(b, dtype=complex).T, np.asarray(a, dtype=complex))
-
-
 def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
     """Superoperator of rho -> -i [h, rho]."""
     h = np.asarray(h, dtype=complex)
@@ -156,10 +134,6 @@ def lindblad_generator(
     return gen
 
 
-def identity_superop(dim: int) -> np.ndarray:
-    return np.eye(dim * dim, dtype=complex)
-
-
 def trace_functional(dim: int) -> np.ndarray:
     """Row vector w such that w @ vec(rho) = Tr(rho)."""
     return vectorize(np.eye(dim, dtype=complex)).conj()
@@ -172,14 +146,6 @@ def trace_functional(dim: int) -> np.ndarray:
 def is_hermitian(m: np.ndarray, tol: float = DEFAULT_NUMERICS.hermiticity_tol) -> bool:
     m = np.asarray(m)
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
-def is_physical_state(rho: np.ndarray, numerics: NumericsConfig = DEFAULT_NUMERICS) -> bool:
-    """Hermitian and unit trace within tolerance (positivity is not checked)."""
-    rho = np.asarray(rho, dtype=complex)
-    return is_hermitian(rho, numerics.hermiticity_tol) and bool(
-        abs(np.trace(rho) - 1.0) <= max(numerics.hermiticity_tol, 1e-12)
-    )
 
 
 def is_trace_preserving(superop: np.ndarray, tol: float = DEFAULT_NUMERICS.trace_tol) -> bool:
@@ -285,7 +251,8 @@ def from_trajectories(
 # ---------------------------------------------------------------------------
 
 def singular_values(superop: np.ndarray) -> np.ndarray:
-    """Singular values of the matrix representation, descending."""
+    """Singular values of the matrix representation, descending; a stack of
+    superoperators gives one row per map."""
     return np.linalg.svd(np.asarray(superop, dtype=complex), compute_uv=False)
 
 

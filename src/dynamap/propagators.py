@@ -239,9 +239,12 @@ def quapi_propagate(
     Works in the eigenbasis of the coupling operator; the system propagator is
     split symmetrically around the influence insertions, and path variables
     further apart than ``coeffs.kmax`` steps are decoupled. All D^2 initial
-    basis operators propagate together as one batch; the memory guard compares
-    the largest intermediate, 16 (D^2)^(kmax+2) bytes, with
-    ``numerics.memory_budget``.
+    basis operators propagate together as one batch through a path tensor
+    over the last ``kmax`` path variables; once that window is full, each
+    step is one contraction against influence tables built once per call
+    (:func:`_propagate_dense`). The memory guard compares the bytes held at
+    once (:func:`_dense_peak_bytes`; about 16 (D^2)^(kmax+1) (2 + D^2/(D^2 -
+    1)) for deep memories) with ``numerics.memory_budget``.
 
     When the system Hamiltonian commutes with the coupling operator the path
     variables never mix, the sum collapses onto constant paths, and an exact
@@ -307,42 +310,73 @@ def _propagate_commuting(energies, dt, n_steps, kmax, self_phi, lag_phi, d2):
     return maps
 
 
+def _dense_peak_bytes(d2: int, kmax: int, n_steps: int) -> int:
+    """Upper bound on the bytes :func:`quapi_propagate` holds at once on the
+    dense path, counted in complex128 entries:
+
+    - the path tensor and the contraction that replaces it, D^2 (D^2)^kmax
+      each once the window is full;
+    - the influence tables, sum_{h=1..kmax} (D^2)^(h+1);
+    - numpy's buffered loops (the fill multiply, the contraction, the
+      long-double readout), at most two buffers of min(D^2 (D^2)^kmax,
+      ``np.getbufsize()``) entries;
+    - the map series in the coupling eigenbasis, in the original basis and
+      the series' own copy, n_steps D^4 each;
+    - 32 D^4 for the propagators, lag phases and other setup arrays.
+    """
+    tensor = d2 ** (kmax + 1)
+    tables = sum(d2 ** (h + 1) for h in range(1, kmax + 1))
+    buffers = 2 * min(tensor, np.getbufsize())
+    return 16 * (2 * tensor + tables + buffers + (3 * n_steps + 32) * d2 * d2)
+
+
 def _propagate_dense(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, numerics):
-    """Augmented-tensor recursion over the last ``kmax`` path variables."""
-    # the largest array is ``expanded``: batch, kmax history variables, the
-    # latest and the new path variable, complex128
-    peak_bytes = 16 * d2 ** (kmax + 2)
+    """Path-tensor recursion over the last ``kmax`` path variables with a
+    step-independent influence kernel.
+
+    ``influence[h]`` holds, for the new path variable and the h before it,
+    the system step, the new point's self term and every lag coupling
+    between them; none of it depends on the step. influence[1] is the step
+    kernel (z_n, z_new), and influence[h] is influence[h-1] times the lag-h
+    factor exp(-lag_phi[h]) on its (oldest, new) axes. While the window
+    fills, each step is one multiply by influence[hist]; once it holds
+    ``kmax`` variables, each step contracts the oldest one against
+    influence[kmax], and no array over all kmax + 1 variables is formed.
+    """
+    peak_bytes = _dense_peak_bytes(d2, kmax, n_steps)
     if peak_bytes > numerics.memory_budget:
         raise MemoryBudgetExceeded(
-            f"path tensor of 16 (D^2)^(kmax+2) = {peak_bytes:.3e} bytes "
-            f"exceeds the budget {numerics.memory_budget:.3e}"
+            f"path tensor, influence tables and maps of {peak_bytes:.3e} bytes "
+            f"exceed the budget {numerics.memory_budget:.3e}"
         )
     self_factor = np.exp(-self_phi)
-    lag_factor = [None] + [np.exp(-lag_phi[k]) for k in range(1, kmax + 1)]
     u_half = expm(-1j * h_eig, dt / 2.0)
     k_half = np.kron(u_half.conj(), u_half)
     u_full = u_half @ u_half
     k_full = np.kron(u_full.conj(), u_full)
-    # fold the new point's self term and the lag-1 coupling into the step
-    step_kernel = (k_full * lag_factor[1] * self_factor[:, None]).T  # (z_n, z_new)
+    # fold the new point's self term and the lag-1 coupling into the step;
+    # C order everywhere, so that the tables inherit it and reshape to the
+    # contraction operand without a copy
+    step_kernel = k_full * np.exp(-lag_phi[1]) * self_factor[:, None]
+    influence = [None, np.ascontiguousarray(step_kernel.T)]  # (z_n, z_new)
+    for h in range(2, kmax + 1):
+        lag = np.ascontiguousarray(np.exp(-lag_phi[h]).T)  # (z_old, z_new)
+        lag = lag.reshape((d2,) + (1,) * (h - 1) + (d2,))
+        influence.append(influence[h - 1][None, ...] * lag)
+    full = influence[kmax].reshape(d2, -1, d2)  # (oldest, middle, new)
 
     maps = np.empty((n_steps, d2, d2), dtype=complex)
     # batch axis first: tensor[b, z_hist..., z_latest]
-    tensor = k_half.T * self_factor[None, :]
+    tensor = np.ascontiguousarray(k_half.T) * self_factor[None, :]
     maps[0] = _readout(tensor, k_half)
     for n in range(2, n_steps + 1):
         hist = tensor.ndim - 1
-        expanded = tensor[..., None] * step_kernel
-        for k in range(2, hist + 1):
-            axis = 1 + hist - k
-            shape = [1] * expanded.ndim
-            shape[axis] = d2
-            shape[-1] = d2
-            expanded = expanded * lag_factor[k].T.reshape(shape)
-        if hist == kmax:
-            tensor = expanded.sum(axis=1)
+        if hist < kmax:
+            tensor = tensor[..., None] * influence[hist]
         else:
-            tensor = expanded
+            tensor = np.einsum(
+                "bom,omn->bmn", tensor.reshape(d2, d2, -1), full
+            ).reshape(tensor.shape)
         maps[n - 1] = _readout(tensor, k_half)
     return maps
 

@@ -164,9 +164,11 @@ class TestRunCompare:
         saw_nan = False
         for row in result.rows:
             assert row.err_ttm >= 0.0
+            # err_tl is nan exactly where the cutoff map is flagged or
+            # spectrally unstable
+            assert np.isnan(row.err_tl) == (row.tl_flagged or not row.tl_spectral_stable)
             if np.isnan(row.err_tl):
                 saw_nan = True
-                assert row.tl_flagged or not row.tl_spectral_stable
             else:
                 assert row.err_tl >= 0.0
         assert saw_nan

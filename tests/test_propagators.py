@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
@@ -20,12 +21,14 @@ from dynamap.models import (
     builtin_model,
 )
 from dynamap.numerics import DEFAULT_NUMERICS, NumericsConfig
+from dynamap import propagators
 from dynamap.propagators import (
     InfluenceCoefficients,
     embedding_propagate,
     embedding_state,
     eta_coefficients,
     quapi_propagate,
+    _dense_peak_bytes,
     _readout,
 )
 
@@ -39,6 +42,31 @@ TRIANGLE = TabulatedDensity(omegas=(0.0, 1.0, 10.0), values=(0.0, 0.5, 0.0))
 
 def truncate(coeffs, kmax):
     return InfluenceCoefficients(dt=coeffs.dt, kmax=kmax, eta=coeffs.eta[: kmax + 1])
+
+
+def lag_product_dense(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, numerics):
+    """Reference dense recursion: every step multiplies the path tensor by
+    the step kernel and then by each lag factor in turn, over all kmax + 1
+    path variables, and sums out the oldest once the window is full."""
+    self_factor = np.exp(-self_phi)
+    lag_factor = [None] + [np.exp(-lag_phi[k]) for k in range(1, kmax + 1)]
+    u_half = expm(-1j * h_eig, dt / 2.0)
+    k_half = np.kron(u_half.conj(), u_half)
+    k_full = np.kron((u_half @ u_half).conj(), u_half @ u_half)
+    step_kernel = (k_full * lag_factor[1] * self_factor[:, None]).T
+    maps = np.empty((n_steps, d2, d2), dtype=complex)
+    tensor = k_half.T * self_factor[None, :]
+    maps[0] = _readout(tensor, k_half)
+    for n in range(2, n_steps + 1):
+        hist = tensor.ndim - 1
+        expanded = tensor[..., None] * step_kernel
+        for k in range(2, hist + 1):
+            shape = [1] * expanded.ndim
+            shape[1 + hist - k] = shape[-1] = d2
+            expanded = expanded * lag_factor[k].T.reshape(shape)
+        tensor = expanded.sum(axis=1) if hist == kmax else expanded
+        maps[n - 1] = _readout(tensor, k_half)
+    return maps
 
 
 class TestEmbeddingPropagate:
@@ -252,15 +280,52 @@ class TestQuapiPropagate:
             quapi_propagate(system, coeffs, 5, numerics=tight)
 
     def test_memory_budget_is_peak_bytes(self):
-        # the dense recursion's largest array holds (D^2)^(kmax+2) complex128
+        # complex128 entries at D = 2, kmax = 3, 5 steps: the path tensor and
+        # its contraction, the influence tables, two numpy loop buffers (the
+        # tensor is below np.getbufsize()), three map series and 32 D^4 setup
         system, _, _ = builtin_model("subohmic")
         coeffs = InfluenceCoefficients(dt=0.08, kmax=3, eta=np.full(4, 0.01, dtype=complex))
-        peak = 16 * 4 ** (3 + 2)
+        tensor = 4 ** 4
+        peak = 16 * (2 * tensor + (4**2 + 4**3 + 4**4) + 2 * tensor + (3 * 5 + 32) * 4**2)
         with pytest.raises(MemoryBudgetExceeded):
             quapi_propagate(system, coeffs, 5, numerics=NumericsConfig(memory_budget=peak - 1))
         quapi_propagate(system, coeffs, 5, numerics=NumericsConfig(memory_budget=peak))
-        # the default still admits kmax = 8 at D = 2
-        assert 16 * 4 ** (8 + 2) <= DEFAULT_NUMERICS.memory_budget
+        # the default still admits kmax = 8 at D = 2, and refuses kmax = 13
+        assert _dense_peak_bytes(4, 8, 1000) <= DEFAULT_NUMERICS.memory_budget
+        assert _dense_peak_bytes(4, 13, 1) > DEFAULT_NUMERICS.memory_budget
+
+    @pytest.mark.parametrize("kmax", [3, 6])
+    def test_memory_budget_bounds_traced_peak(self, kmax):
+        # the guard's count against what the allocator sees: an upper bound,
+        # and at most 1.5 times the traced peak once the window has filled
+        system, _, _ = builtin_model("subohmic")
+        coeffs = InfluenceCoefficients(
+            dt=0.08, kmax=kmax, eta=np.full(kmax + 1, 0.01, dtype=complex)
+        )
+        n_steps = kmax + 4
+        quapi_propagate(system, coeffs, n_steps)  # one-time imports and caches
+        tracemalloc.start()
+        try:
+            quapi_propagate(system, coeffs, n_steps)
+            _, observed = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        formula = _dense_peak_bytes(4, kmax, n_steps)
+        assert observed <= formula <= 1.5 * observed
+
+    @pytest.mark.parametrize("kmax", [1, 2, 5])
+    @pytest.mark.parametrize("full_window", [False, True])
+    def test_influence_tables_match_lag_products(self, monkeypatch, kmax, full_window):
+        # one step, or the fill phase, the switch to a full window and a few
+        # full steps; for kmax = 1 the window is full from the second step on
+        n_steps = kmax + 4 if full_window else 1
+        system = SystemSpec(h_s=0.6 * SX + 0.25 * SZ, coupling_op=0.5 * SZ)
+        eta = np.array([(0.04 - 0.03j) / (k + 1) ** 1.5 for k in range(kmax + 1)])
+        coeffs = InfluenceCoefficients(dt=0.1, kmax=kmax, eta=eta)
+        got = quapi_propagate(system, coeffs, n_steps).maps
+        monkeypatch.setattr(propagators, "_propagate_dense", lag_product_dense)
+        want = quapi_propagate(system, coeffs, n_steps).maps
+        assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_readout_rounded_once(self):
         # each map entry sum_{h,l} k_half[a, l] tensor[b, h, l] against its

@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    generate   propagate the configured model and write maps.dmap
+    generate   propagate the configured model, write maps.dmap and maps.key
     ttm        transfer-tensor decomposition + extrapolated observables
     tl         time-local maps, stationarity profile + extrapolated observables
     rates      canonical rates of the single-step maps
@@ -21,11 +21,11 @@ from pathlib import Path
 
 from . import harness, serialization
 from .errors import ConfigError, DynamapError, UnknownModel
-from .harness import QuapiPropagator, SweepConfig
+from .harness import SweepConfig
 from .lindblad import rate_series
 from .maps import DynamicalMapSeries, singular_values
 from .propagators import eta_coefficients
-from .timelocal import extrapolate_tl, local_maps, stationarity_profile
+from .timelocal import extrapolate_tl, local_maps, stationarity_profile, tl_refusal
 from .ttm import decompose, extrapolate, tensor_norm_profile
 
 
@@ -61,27 +61,29 @@ def _load_config(args) -> SweepConfig:
 
 
 def _obtain_series(config: SweepConfig, out: Path, n_steps: int) -> DynamicalMapSeries:
-    cached = out / "maps.dmap"
-    if cached.exists():
+    """The maps ``generate`` left in ``out`` when its ``maps.key`` matches this
+    config and they reach ``n_steps``; freshly generated maps otherwise."""
+    cached, key = out / "maps.dmap", out / "maps.key"
+    if cached.exists() and key.exists() and key.read_text().strip() == harness.maps_key(config):
         series = serialization.read_map_series(cached)
-        if len(series) >= n_steps and abs(series.dt - config.dt) < 1e-12:
+        if len(series) >= n_steps:
             return series
     return harness.generate_maps(config, n_steps=n_steps)
 
 
 def _cmd_generate(config: SweepConfig, out: Path, args) -> int:
     coeffs = None
-    if args.dump_eta and isinstance(config.propagator, QuapiPropagator):
+    if args.dump_eta and harness._exact_embedding(config) is None:
         coeffs = eta_coefficients(
             config.bath, config.system.temperature, config.dt, config.propagator.kmax
         )
     series = harness.generate_maps(config, coeffs=coeffs)
+    key = out / "maps.key"
+    key.unlink(missing_ok=True)  # a stale key must not vouch for the new maps
     serialization.write_map_series(out / "maps.dmap", series)
+    key.write_text(harness.maps_key(config) + "\n")
     if coeffs is not None:
-        with open(out / "eta.csv", "w", newline="\n") as fh:
-            fh.write("k,re,im\n")
-            for k, val in enumerate(coeffs.eta):
-                fh.write(f"{k},{float(val.real)!r},{float(val.imag)!r}\n")
+        serialization.write_eta_csv(out / "eta.csv", coeffs)
     return 0
 
 
@@ -95,7 +97,7 @@ def _cmd_ttm(config: SweepConfig, out: Path, args) -> int:
         k = config.cutoff_steps(tau)
         states = extrapolate(tensors, config.initial, k, config.n_ref)
         t, vals = harness.observable_series(states, config.observable, config.dt)
-        harness.write_observable_csv(out / f"ttm_obs_tauc{tau:g}.csv", t, vals)
+        serialization.write_profile_csv(out / f"ttm_obs_tauc{tau:g}.csv", t, vals, "sigma_z")
     return 0
 
 
@@ -109,12 +111,13 @@ def _cmd_tl(config: SweepConfig, out: Path, args) -> int:
     wrote_any = False
     for tau in config.tau_c:
         k = config.cutoff_steps(tau)
-        if local.flagged[k - 1]:
-            print(f"tau_c = {tau:g}: stationary map flagged, skipping", file=sys.stderr)
+        refusal, _ = tl_refusal(local, k)
+        if refusal is not None:
+            print(f"tau_c = {tau:g}: {refusal}, skipping", file=sys.stderr)
             continue
         states = extrapolate_tl(local, config.initial, k, config.n_ref)
         t, vals = harness.observable_series(states, config.observable, config.dt)
-        harness.write_observable_csv(out / f"tl_obs_tauc{tau:g}.csv", t, vals)
+        serialization.write_profile_csv(out / f"tl_obs_tauc{tau:g}.csv", t, vals, "sigma_z")
         wrote_any = True
     return 0 if wrote_any else 3
 
@@ -122,30 +125,30 @@ def _cmd_tl(config: SweepConfig, out: Path, args) -> int:
 def _cmd_rates(config: SweepConfig, out: Path, args) -> int:
     series = _obtain_series(config, out, config.n_short)
     local = local_maps(series.head(config.n_short), cond_threshold=config.cond_threshold)
-    harness.write_rates_csv(out / "rates.csv", rate_series(local))
+    serialization.write_rates_csv(out / "rates.csv", rate_series(local))
     return 0
 
 
 def _cmd_singvals(config: SweepConfig, out: Path, args) -> int:
     series = _obtain_series(config, out, config.n_short).head(config.n_short)
-    harness.write_singvals_csv(out / "singvals.csv", series.times, singular_values(series.maps))
+    serialization.write_singvals_csv(
+        out / "singvals.csv", series.times, singular_values(series.maps)
+    )
     return 0
 
 
 def _cmd_compare(config: SweepConfig, out: Path, args) -> int:
-    needs_ref = isinstance(config.propagator, QuapiPropagator)
-    n_total = max(config.n_short, config.n_ref) if needs_ref else config.n_short
-    series = _obtain_series(config, out, n_total)
+    series = _obtain_series(config, out, config.n_maps)
     exact_state = harness.exact_reference_state(config, series)
     result = harness.compare_series(series, exact_state, config)
-    harness.write_compare_csv(out / "compare.csv", result)
+    serialization.write_compare_csv(out / "compare.csv", result)
     serialization.write_profile_csv(
         out / "stationarity.csv", *result.stationarity, "map_difference"
     )
     serialization.write_profile_csv(
         out / "tensor_norms.csv", *result.tensor_norms, "tensor_norm"
     )
-    harness.write_singvals_csv(out / "singvals.csv", *result.singular_values)
+    serialization.write_singvals_csv(out / "singvals.csv", *result.singular_values)
     return 0
 
 

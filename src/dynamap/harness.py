@@ -8,18 +8,18 @@ reference time, recording the error of each against the exact propagation.
 from __future__ import annotations
 
 import configparser
+import hashlib
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, StationaryMapFlagged, UnknownModel
+from .errors import ConfigError, DimensionMismatch, UnknownModel
 from .maps import (
     DynamicalMapSeries,
     devectorize,
-    expm,
     is_hermitian,
     lindblad_generator,
     pauli,
@@ -28,6 +28,7 @@ from .maps import (
 )
 from .models import (
     DrudeLorentzDensity,
+    Embedding,
     EmbeddingSpec,
     QDPhononDensity,
     SpectralDensity,
@@ -45,7 +46,7 @@ from .propagators import (
     eta_coefficients,
     quapi_propagate,
 )
-from .timelocal import extrapolate_tl, local_maps, spectral_stability, stationarity_profile
+from .timelocal import extrapolate_tl, local_maps, stationarity_profile, tl_refusal
 from .ttm import decompose, extrapolate, tensor_norm_profile
 
 __all__ = [
@@ -59,6 +60,7 @@ __all__ = [
     "trace_distance",
     "generate_maps",
     "exact_reference_state",
+    "maps_key",
     "run_compare",
     "compare_series",
     "load_config",
@@ -147,6 +149,12 @@ class SweepConfig:
     @property
     def n_ref(self) -> int:
         return int(round(self.t_ref / self.dt))
+
+    @property
+    def n_maps(self) -> int:
+        """Maps a sweep needs; the path integral reads its reference at n_ref."""
+        needs_ref = isinstance(self.propagator, QuapiPropagator)
+        return max(self.n_short, self.n_ref) if needs_ref else self.n_short
 
     def cutoff_steps(self, tau: float) -> int:
         return max(1, int(round(tau / self.dt)))
@@ -404,8 +412,21 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 # map generation and exact references
 # ---------------------------------------------------------------------------
 
-def _lindblad_gen(system: SystemSpec, prop: LindbladPropagator) -> np.ndarray:
-    return lindblad_generator(system.h_s, [_JUMP_OPS[prop.jump]], [prop.rate])
+def _exact_embedding(config: SweepConfig) -> Embedding | None:
+    """The one place that tells map sources apart: the embedding of an exact
+    source (the semigroup one has no mode), or None for the path integral."""
+    prop = config.propagator
+    if isinstance(prop, EmbeddingPropagator):
+        # the propagator holds exactly the mode parameters of the spec
+        return build_embedding(EmbeddingSpec(system=config.system, **asdict(prop)))
+    if isinstance(prop, LindbladPropagator):
+        d = config.system.dim
+        identity = np.eye(d * d, dtype=complex)
+        generator = lindblad_generator(config.system.h_s, [_JUMP_OPS[prop.jump]], [prop.rate])
+        return Embedding(
+            generator=generator, embed=identity, project=identity, system_dim=d, mode_dim=1
+        )
+    return None
 
 
 def generate_maps(
@@ -419,28 +440,14 @@ def generate_maps(
     already has them; otherwise a path-integral propagator computes them.
     """
     n = n_steps if n_steps is not None else config.n_short
-    prop = config.propagator
-    if isinstance(prop, QuapiPropagator):
-        if coeffs is None:
-            coeffs = eta_coefficients(config.bath, config.system.temperature, config.dt, prop.kmax)
-        return quapi_propagate(config.system, coeffs, n)
-    if isinstance(prop, EmbeddingPropagator):
-        spec = EmbeddingSpec(
-            system=config.system,
-            mode_frequency=prop.mode_frequency,
-            coupling=prop.coupling,
-            decay=prop.decay,
-            n_max=prop.n_max,
+    emb = _exact_embedding(config)
+    if emb is not None:
+        return embedding_propagate(emb, config.dt, n)
+    if coeffs is None:
+        coeffs = eta_coefficients(
+            config.bath, config.system.temperature, config.dt, config.propagator.kmax
         )
-        return embedding_propagate(spec, config.dt, n)
-    gen = _lindblad_gen(config.system, prop)
-    one_step = expm(gen, config.dt)
-    maps = np.empty((n, one_step.shape[0], one_step.shape[0]), dtype=complex)
-    acc = np.eye(one_step.shape[0], dtype=complex)
-    for k in range(n):
-        acc = one_step @ acc
-        maps[k] = acc
-    return DynamicalMapSeries(dt=config.dt, t0=0.0, maps=maps)
+    return quapi_propagate(config.system, coeffs, n)
 
 
 def exact_reference_state(config: SweepConfig, series: DynamicalMapSeries) -> np.ndarray:
@@ -450,24 +457,26 @@ def exact_reference_state(config: SweepConfig, series: DynamicalMapSeries) -> np
     exponential; for the path-integral source it is the map at step n_ref
     (``series`` must then extend to n_ref).
     """
-    prop = config.propagator
-    if isinstance(prop, EmbeddingPropagator):
-        spec = EmbeddingSpec(
-            system=config.system,
-            mode_frequency=prop.mode_frequency,
-            coupling=prop.coupling,
-            decay=prop.decay,
-            n_max=prop.n_max,
-        )
-        return embedding_state(build_embedding(spec), config.initial, config.t_ref)
-    if isinstance(prop, LindbladPropagator):
-        gen = _lindblad_gen(config.system, prop)
-        return devectorize(expm(gen, config.t_ref) @ vectorize(config.initial))
+    emb = _exact_embedding(config)
+    if emb is not None:
+        return embedding_state(emb, config.initial, config.t_ref)
     if len(series) < config.n_ref:
         raise ConfigError(
             f"need maps up to step {config.n_ref} for the exact reference, have {len(series)}"
         )
     return devectorize(series.maps[config.n_ref - 1] @ vectorize(config.initial))
+
+
+def maps_key(config: SweepConfig) -> str:
+    """sha256 hex digest of everything that shapes the generated maps: the
+    system operators (as raw bytes, since the numpy repr of an array is not
+    lossless), temperature, bath, propagator, dt and the default numerics."""
+    system = config.system
+    digest = hashlib.sha256(system.h_s.tobytes() + system.coupling_op.tobytes())
+    for part in (system.h_s.shape, system.temperature, config.bath, config.propagator,
+                 config.dt, DEFAULT_NUMERICS):
+        digest.update(f"{part!r}\n".encode())
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -505,25 +514,20 @@ def _compare_one(args) -> CompareRow:
     err_ttm = abs(val_ttm - exact_val)
     tdist_ttm = trace_distance(ttm_states[-1], exact_state)
 
-    stab = spectral_stability(local.maps[k - 1])
+    refusal, stab = tl_refusal(local, k)
     err_tl = np.nan
     tdist_tl = np.nan
-    flagged = bool(local.flagged[k - 1])
-    if not flagged and stab.stable:
-        try:
-            tl_states = extrapolate_tl(local, initial, k, n_ref)
-        except StationaryMapFlagged:
-            flagged = True
-        else:
-            val_tl = _expectation(tl_states[-1], observable)
-            if np.isfinite(val_tl):
-                err_tl = abs(val_tl - exact_val)
-                tdist_tl = trace_distance(tl_states[-1], exact_state)
+    if refusal is None:
+        tl_states = extrapolate_tl(local, initial, k, n_ref)
+        val_tl = _expectation(tl_states[-1], observable)
+        if np.isfinite(val_tl):
+            err_tl = abs(val_tl - exact_val)
+            tdist_tl = trace_distance(tl_states[-1], exact_state)
     return CompareRow(
         tau_c=k,  # rewritten by the caller to the requested time
         err_ttm=err_ttm,
         err_tl=err_tl,
-        tl_flagged=flagged,
+        tl_flagged=bool(local.flagged[k - 1]),
         tl_spectral_stable=bool(stab.stable),
         tdist_ttm=tdist_ttm,
         tdist_tl=tdist_tl,
@@ -572,61 +576,6 @@ def compare_series(
 
 def run_compare(config: SweepConfig, numerics: NumericsConfig = DEFAULT_NUMERICS) -> CompareResult:
     """Generate maps for the configured model and run the full comparison."""
-    needs_ref = isinstance(config.propagator, QuapiPropagator)
-    n_total = max(config.n_short, config.n_ref) if needs_ref else config.n_short
-    series = generate_maps(config, n_steps=n_total)
+    series = generate_maps(config, n_steps=config.n_maps)
     exact_state = exact_reference_state(config, series)
     return compare_series(series, exact_state, config, numerics=numerics)
-
-
-# ---------------------------------------------------------------------------
-# CSV output
-# ---------------------------------------------------------------------------
-
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def _fmt_bool(x) -> str:
-    return "true" if x else "false"
-
-
-def write_compare_csv(path, result: CompareResult) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("tau_c,err_ttm,err_tl,tl_flagged,tl_spectral_stable,tdist_ttm,tdist_tl\n")
-        for row in result.rows:
-            fh.write(
-                f"{_fmt(row.tau_c)},{_fmt(row.err_ttm)},{_fmt(row.err_tl)},"
-                f"{_fmt_bool(row.tl_flagged)},{_fmt_bool(row.tl_spectral_stable)},"
-                f"{_fmt(row.tdist_ttm)},{_fmt(row.tdist_tl)}\n"
-            )
-
-
-def write_singvals_csv(path, times: np.ndarray, sv_table: np.ndarray) -> None:
-    with open(path, "w", newline="\n") as fh:
-        header = ",".join(f"sv_{i + 1}" for i in range(sv_table.shape[1]))
-        fh.write(f"t,{header}\n")
-        for t, row in zip(times, sv_table):
-            fh.write(_fmt(t) + "," + ",".join(_fmt(v) for v in row) + "\n")
-
-
-def write_rates_csv(path, rates) -> None:
-    """Rates CSV: t, gamma_1..gamma_{D^2-1}, min_rate, flagged; flagged rows
-    leave the numeric fields empty."""
-    n_rates = rates.rates.shape[1]
-    with open(path, "w", newline="\n") as fh:
-        header = ",".join(f"gamma_{i + 1}" for i in range(n_rates))
-        fh.write(f"t,{header},min_rate,flagged\n")
-        for i, t in enumerate(rates.times):
-            if rates.flagged[i]:
-                fh.write(f"{_fmt(t)},{',' * n_rates}true\n")
-            else:
-                gam = ",".join(_fmt(v) for v in rates.rates[i])
-                fh.write(f"{_fmt(t)},{gam},{_fmt(rates.min_rate[i])},false\n")
-
-
-def write_observable_csv(path, times: np.ndarray, values: np.ndarray, column: str = "sigma_z") -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"t,{column}\n")
-        for t, v in zip(times, values):
-            fh.write(f"{_fmt(t)},{_fmt(v)}\n")

@@ -297,7 +297,8 @@ class EmbeddingSpec:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Extended generator plus the embed / partial-trace maps over the mode."""
+    """Extended generator plus the embed / partial-trace maps over the mode;
+    ``mode_dim = 1`` is the semigroup source, with embed = project = identity."""
 
     generator: np.ndarray = field(repr=False)
     embed: np.ndarray = field(repr=False)

@@ -111,21 +111,31 @@ def read_local_series(path, sv_ratios=None, flagged=None):
 # ---------------------------------------------------------------------------
 
 def _fmt(x) -> str:
+    """One CSV field: empty, true/false, an integer, or a round-trip float."""
+    if x is None:
+        return ""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return str(x)
     return repr(float(x))
+
+
+def _write_csv(path, header, rows) -> None:
+    """Header line, then one line of formatted fields per row."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def write_series_csv(path, series: DynamicalMapSeries) -> None:
     """Lossless text export: one row per entry, full float precision."""
     d2 = series.dim**2
-    with open(path, "w", newline="\n") as fh:
-        fh.write("n,row,col,re,im\n")
-        for n in range(len(series)):
-            m = series.maps[n]
-            for col in range(d2):
-                for row in range(d2):
-                    fh.write(
-                        f"{n + 1},{row},{col},{_fmt(m[row, col].real)},{_fmt(m[row, col].imag)}\n"
-                    )
+    rows = (
+        (n + 1, row, col, m[row, col].real, m[row, col].imag)
+        for n, m in enumerate(series.maps) for col in range(d2) for row in range(d2)
+    )
+    _write_csv(path, ("n", "row", "col", "re", "im"), rows)
 
 
 def read_series_csv(path, dt: float, t0: float = 0.0) -> DynamicalMapSeries:
@@ -140,16 +150,37 @@ def read_series_csv(path, dt: float, t0: float = 0.0) -> DynamicalMapSeries:
 
 def write_local_flags(path, local) -> None:
     """Sidecar for local-map singularity diagnostics."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("n,t,sigma_min_over_max,flagged\n")
-        times = local.times
-        for n in range(len(local)):
-            flag = "true" if local.flagged[n] else "false"
-            fh.write(f"{n},{_fmt(times[n])},{_fmt(local.sv_ratios[n])},{flag}\n")
+    rows = zip(range(len(local)), local.times, local.sv_ratios, local.flagged)
+    _write_csv(path, ("n", "t", "sigma_min_over_max", "flagged"), rows)
 
 
 def write_profile_csv(path, times, values, value_column: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"t,{value_column}\n")
-        for t, v in zip(times, values):
-            fh.write(f"{_fmt(t)},{_fmt(v)}\n")
+    _write_csv(path, ("t", value_column), zip(times, values))
+
+
+def write_compare_csv(path, result) -> None:
+    """One row per cutoff of a :class:`~dynamap.harness.CompareResult`."""
+    header = ("tau_c", "err_ttm", "err_tl", "tl_flagged", "tl_spectral_stable",
+              "tdist_ttm", "tdist_tl")
+    _write_csv(path, header, ((getattr(row, name) for name in header) for row in result.rows))
+
+
+def write_singvals_csv(path, times: np.ndarray, sv_table: np.ndarray) -> None:
+    header = ("t", *(f"sv_{i + 1}" for i in range(sv_table.shape[1])))
+    _write_csv(path, header, ((t, *row) for t, row in zip(times, sv_table)))
+
+
+def write_rates_csv(path, rates) -> None:
+    """Rates CSV: t, gamma_1..gamma_{D^2-1}, min_rate, flagged; flagged rows
+    leave every numeric field but t empty."""
+    n_rates = rates.rates.shape[1]
+    header = ("t", *(f"gamma_{i + 1}" for i in range(n_rates)), "min_rate", "flagged")
+    empty = (None,) * (n_rates + 1)  # the rates and min_rate
+    rows = zip(rates.times, rates.rates, rates.min_rate, rates.flagged)
+    _write_csv(path, header, ((t, *empty, True) if flagged else (t, *gammas, low, False)
+                              for t, gammas, low, flagged in rows))
+
+
+def write_eta_csv(path, coeffs) -> None:
+    """Influence coefficients eta_k as ``k,re,im``."""
+    _write_csv(path, ("k", "re", "im"), ((k, v.real, v.imag) for k, v in enumerate(coeffs.eta)))

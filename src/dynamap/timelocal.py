@@ -34,6 +34,7 @@ __all__ = [
     "stationarity_profile",
     "extrapolate_tl",
     "spectral_stability",
+    "tl_refusal",
 ]
 
 
@@ -182,3 +183,16 @@ def spectral_stability(
         max_modulus=max_mod,
         stable=max_mod <= 1.0 + numerics.spectral_radius_tol,
     )
+
+
+def tl_refusal(local: LocalMapSeries, k: int) -> tuple[str | None, SpectralStability]:
+    """Why extrapolation from cutoff step ``k`` is refused, or None, and the
+    spectral stability of its stationary map. A flagged or spectrally
+    unstable stationary map is refused; ``compare`` and ``tl`` skip it."""
+    stab = spectral_stability(local.maps[k - 1])
+    if local.flagged[k - 1]:
+        return "stationary map flagged", stab
+    if not stab.stable:
+        reason = f"stationary map spectrally unstable (max |eigenvalue| {stab.max_modulus:.6g})"
+        return reason, stab
+    return None, stab

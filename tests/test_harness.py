@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import EXCITED, SZ
+from dynamap import harness
 from dynamap.cli import main as cli_main
 from dynamap.errors import ConfigError
 from dynamap.harness import (
     EmbeddingPropagator,
     LindbladPropagator,
     SweepConfig,
+    exact_reference_state,
+    generate_maps,
     load_config,
     observable_series,
     preset_config,
@@ -15,7 +18,7 @@ from dynamap.harness import (
     trace_distance,
 )
 from dynamap.models import SubOhmicDensity, SystemSpec
-from dynamap.maps import pauli
+from dynamap.maps import devectorize, expm, lindblad_generator, pauli, vectorize
 from dynamap.propagators import eta_coefficients
 
 
@@ -111,6 +114,26 @@ class TestConfigValidation:
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/path.ini")
+
+
+class TestSemigroupSource:
+    """The semigroup source runs as an embedding without a mode; the plain
+    single-step loop is the reference."""
+
+    def test_maps_equal_single_step_loop(self):
+        config = preset_config("lindblad")
+        sigma_minus = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        gen = lindblad_generator(config.system.h_s, [sigma_minus], [0.3])
+        one_step = expm(gen, config.dt)
+        acc = np.eye(4, dtype=complex)
+        reference = []
+        for _ in range(config.n_short):
+            acc = one_step @ acc
+            reference.append(acc)
+        series = generate_maps(config)
+        assert np.array_equal(series.maps, np.stack(reference))
+        exact = devectorize(expm(gen, config.t_ref) @ vectorize(config.initial))
+        assert np.array_equal(exact_reference_state(config, series), exact)
 
 
 class TestRunCompare:
@@ -254,3 +277,46 @@ class TestCli:
             idx, re, im = line.split(",")
             assert int(idx) == k
             assert complex(float(re), float(im)) == expected[k]
+
+    def test_tl_skips_spectrally_unstable_cutoff(self, tmp_path, capsys):
+        ini = tmp_path / "unstable.ini"
+        ini.write_text("[system]\npreset = embedding\n\n[grid]\nn_short = 160\n")
+        out = tmp_path / "tl"
+        code = cli_main(
+            ["tl", "--config", str(ini), "--out", str(out), "--t-ref", "400", "--tau-c", "1.0,16.0"]
+        )
+        assert code == 0
+        assert (out / "tl_obs_tauc1.csv").exists()
+        assert not (out / "tl_obs_tauc16.csv").exists()
+        assert "tau_c = 16: stationary map spectrally unstable" in capsys.readouterr().err
+
+    def test_cached_maps_of_another_config_not_reused(self, tmp_path):
+        a, b = tmp_path / "a.ini", tmp_path / "b.ini"
+        a.write_text("[system]\npreset = lindblad\n\n[propagator]\ntype = lindblad\nrate = 0.3\n")
+        b.write_text(a.read_text().replace("rate = 0.3", "rate = 0.6"))
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        assert cli_main(["generate", "--config", str(a), "--out", str(shared)]) == 0
+        assert cli_main(["ttm", "--config", str(b), "--out", str(shared)]) == 0
+        assert cli_main(["ttm", "--config", str(b), "--out", str(fresh)]) == 0
+        got = (shared / "ttm_obs_tauc1.csv").read_text()
+        assert got == (fresh / "ttm_obs_tauc1.csv").read_text()
+        t, value = got.splitlines()[10].split(",")
+        assert float(t) == pytest.approx(0.9)
+        assert float(value) == pytest.approx(0.70827, abs=1e-5)
+
+    def test_cached_maps_reused_only_with_key(self, tmp_path, monkeypatch):
+        out = tmp_path / "cache"
+        calls = []
+        real = harness.generate_maps
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "generate_maps", counted)
+        assert cli_main(["generate", "--config", "lindblad", "--out", str(out)]) == 0
+        assert cli_main(["ttm", "--config", "lindblad", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        (out / "maps.key").unlink()  # outputs written before the key existed
+        assert cli_main(["ttm", "--config", "lindblad", "--out", str(out)]) == 0
+        assert len(calls) == 2

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_lindblad_generator
 from dynamap.errors import DimensionMismatch
+from dynamap.lindblad import RateSeries
 from dynamap.maps import DynamicalMapSeries, expm
 from dynamap.serialization import (
     read_map_series,
@@ -11,6 +12,7 @@ from dynamap.serialization import (
     write_local_flags,
     write_local_series,
     write_map_series,
+    write_rates_csv,
     write_series_csv,
     write_tensor_series,
     read_local_series,
@@ -116,3 +118,18 @@ class TestCsv:
         assert first[0] == "0"
         assert float(first[1]) == pytest.approx(series.t0)
         assert first[3] in ("true", "false")
+
+    def test_rates_rows_as_wide_as_header(self, tmp_path):
+        rates = RateSeries(
+            times=np.array([0.0, 0.1, 0.2]),
+            rates=np.array([[0.3, 0.2, -0.1], [np.nan] * 3, [0.3, 0.2, 0.1]]),
+            min_rate=np.array([-0.1, np.nan, 0.1]),
+            flagged=np.array([False, True, False]),
+        )
+        path = tmp_path / "rates.csv"
+        write_rates_csv(path, rates)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "t,gamma_1,gamma_2,gamma_3,min_rate,flagged"
+        assert all(len(line.split(",")) == 6 for line in lines)
+        assert lines[1] == "0.0,0.3,0.2,-0.1,-0.1,false"
+        assert lines[2] == "0.1,,,,,true"

@@ -34,7 +34,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", required=True, help="output directory")
     sub.add_argument("--tau-c", help="comma-separated cutoff times, overrides the config")
     sub.add_argument("--t-ref", type=float, help="reference evaluation time override")
-    sub.add_argument("--workers", type=int, help="parallel workers for the sweep")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,8 +54,6 @@ def _load_config(args) -> SweepConfig:
         updates["tau_c"] = tuple(float(x) for x in args.tau_c.split(","))
     if args.t_ref is not None:
         updates["t_ref"] = args.t_ref
-    if args.workers is not None:
-        updates["workers"] = args.workers
     return dataclasses.replace(config, **updates) if updates else config
 
 
@@ -93,11 +90,12 @@ def _cmd_ttm(config: SweepConfig, out: Path, args) -> int:
     serialization.write_tensor_series(out / "tensors.tten", tensors)
     times, norms = tensor_norm_profile(tensors)
     serialization.write_profile_csv(out / "tensor_norms.csv", times, norms, "tensor_norm")
+    column = harness._observable_name(config.observable)
     for tau in config.tau_c:
         k = config.cutoff_steps(tau)
         states = extrapolate(tensors, config.initial, k, config.n_ref)
         t, vals = harness.observable_series(states, config.observable, config.dt)
-        serialization.write_profile_csv(out / f"ttm_obs_tauc{tau:g}.csv", t, vals, "sigma_z")
+        serialization.write_profile_csv(out / f"ttm_obs_tauc{tau:g}.csv", t, vals, column)
     return 0
 
 
@@ -108,6 +106,7 @@ def _cmd_tl(config: SweepConfig, out: Path, args) -> int:
     serialization.write_local_flags(out / "local_flags.csv", local)
     times, diffs = stationarity_profile(local)
     serialization.write_profile_csv(out / "stationarity.csv", times, diffs, "map_difference")
+    column = harness._observable_name(config.observable)
     wrote_any = False
     for tau in config.tau_c:
         k = config.cutoff_steps(tau)
@@ -117,7 +116,7 @@ def _cmd_tl(config: SweepConfig, out: Path, args) -> int:
             continue
         states = extrapolate_tl(local, config.initial, k, config.n_ref)
         t, vals = harness.observable_series(states, config.observable, config.dt)
-        serialization.write_profile_csv(out / f"tl_obs_tauc{tau:g}.csv", t, vals, "sigma_z")
+        serialization.write_profile_csv(out / f"tl_obs_tauc{tau:g}.csv", t, vals, column)
         wrote_any = True
     return 0 if wrote_any else 3
 

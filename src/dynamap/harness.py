@@ -10,8 +10,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +102,14 @@ _JUMP_OPS = {
 
 _OBSERVABLES = {"sigma_x": pauli("x"), "sigma_y": pauli("y"), "sigma_z": pauli("z")}
 
+
+def _observable_name(observable: np.ndarray) -> str:
+    """The config name of ``observable``, which heads its CSV column;
+    "observable" for a matrix that has none."""
+    names = (name for name, op in _OBSERVABLES.items() if np.array_equal(op, observable))
+    return next(names, "observable")
+
+
 _INITIAL_STATES = {
     "excited": np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
     "ground": np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex),
@@ -128,7 +135,6 @@ class SweepConfig:
         default_factory=lambda: _INITIAL_STATES["excited"].copy(), repr=False
     )
     cond_threshold: float | None = None
-    workers: int = 1
 
     def __post_init__(self):
         if self.dt <= 0 or self.n_short < 1:
@@ -507,10 +513,10 @@ def _expectation(state: np.ndarray, observable: np.ndarray) -> float:
     return float(np.trace(observable @ state).real)
 
 
-def _compare_one(args) -> CompareRow:
-    (tensors, local, initial, k, n_ref, observable, exact_val, exact_state) = args
-    ttm_states = extrapolate(tensors, initial, k, n_ref)
-    val_ttm = _expectation(ttm_states[-1], observable)
+def _compare_one(tensors, local, tau, config, exact_val, exact_state) -> CompareRow:
+    k = config.cutoff_steps(tau)
+    ttm_states = extrapolate(tensors, config.initial, k, config.n_ref)
+    val_ttm = _expectation(ttm_states[-1], config.observable)
     err_ttm = abs(val_ttm - exact_val)
     tdist_ttm = trace_distance(ttm_states[-1], exact_state)
 
@@ -518,13 +524,13 @@ def _compare_one(args) -> CompareRow:
     err_tl = np.nan
     tdist_tl = np.nan
     if refusal is None:
-        tl_states = extrapolate_tl(local, initial, k, n_ref)
-        val_tl = _expectation(tl_states[-1], observable)
+        tl_states = extrapolate_tl(local, config.initial, k, config.n_ref)
+        val_tl = _expectation(tl_states[-1], config.observable)
         if np.isfinite(val_tl):
             err_tl = abs(val_tl - exact_val)
             tdist_tl = trace_distance(tl_states[-1], exact_state)
     return CompareRow(
-        tau_c=k,  # rewritten by the caller to the requested time
+        tau_c=float(tau),
         err_ttm=err_ttm,
         err_tl=err_tl,
         tl_flagged=bool(local.flagged[k - 1]),
@@ -550,20 +556,10 @@ def compare_series(
     local = local_maps(short, cond_threshold=config.cond_threshold, numerics=numerics)
     exact_val = _expectation(exact_state, config.observable)
 
-    jobs = []
-    for tau in config.tau_c:
-        k = config.cutoff_steps(tau)
-        jobs.append(
-            (tensors, local, config.initial, k, config.n_ref, config.observable,
-             exact_val, exact_state)
-        )
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(_compare_one, jobs))
-    else:
-        rows = [_compare_one(job) for job in jobs]
-    rows = [replace(row, tau_c=float(tau)) for row, tau in zip(rows, config.tau_c)]
-    rows.sort(key=lambda r: r.tau_c)
+    rows = sorted(
+        (_compare_one(tensors, local, tau, config, exact_val, exact_state) for tau in config.tau_c),
+        key=lambda r: r.tau_c,
+    )
 
     return CompareResult(
         rows=tuple(rows),

@@ -18,6 +18,7 @@ environment.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -83,6 +84,39 @@ def _pair_dissipator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(b.T, a) - 0.5 * np.kron(eye, ba) - 0.5 * np.kron(ba.T, eye)
 
 
+@functools.lru_cache(maxsize=None)
+def _canonical_design(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gell-Mann basis, off-diagonal (a, b) pairs, and the real design matrix of
+    the linear map from canonical parameters to generators; read-only, since
+    every call for one dimension shares them."""
+    basis = gell_mann_basis(dim)
+    n_ops = len(basis)
+
+    columns: list[np.ndarray] = []
+    # Hamiltonian part: one real coefficient per basis element
+    for g in basis:
+        columns.append(hamiltonian_superop(g).ravel())
+    # diagonal coefficients of the Hermitian matrix
+    for g in basis:
+        columns.append(dissipator_superop(g).ravel())
+    # off-diagonal pairs: real and imaginary parts
+    pair_index: list[tuple[int, int]] = []
+    for a in range(n_ops):
+        for b in range(a + 1, n_ops):
+            pair_index.append((a, b))
+            d_ab = _pair_dissipator(basis[a], basis[b])
+            d_ba = _pair_dissipator(basis[b], basis[a])
+            columns.append((d_ab + d_ba).ravel())
+            columns.append((1.0j * (d_ab - d_ba)).ravel())
+
+    design = np.array(columns).T
+    arrays = (np.array(basis), np.array(pair_index).reshape(-1, 2),
+              np.vstack([design.real, design.imag]))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 def canonical_decompose(
     gen: np.ndarray,
     numerics: NumericsConfig = DEFAULT_NUMERICS,
@@ -109,28 +143,8 @@ def canonical_decompose(
             f"{numerics.generator_tp_tol * scale:.3e}"
         )
 
-    basis = gell_mann_basis(dim)
+    basis, pair_index, design_real = _canonical_design(dim)
     n_ops = len(basis)
-
-    columns: list[np.ndarray] = []
-    # Hamiltonian part: one real coefficient per basis element
-    for g in basis:
-        columns.append(hamiltonian_superop(g).ravel())
-    # diagonal coefficients of the Hermitian matrix
-    for g in basis:
-        columns.append(dissipator_superop(g).ravel())
-    # off-diagonal pairs: real and imaginary parts
-    pair_index: list[tuple[int, int]] = []
-    for a in range(n_ops):
-        for b in range(a + 1, n_ops):
-            pair_index.append((a, b))
-            d_ab = _pair_dissipator(basis[a], basis[b])
-            d_ba = _pair_dissipator(basis[b], basis[a])
-            columns.append((d_ab + d_ba).ravel())
-            columns.append((1.0j * (d_ab - d_ba)).ravel())
-
-    design = np.array(columns).T
-    design_real = np.vstack([design.real, design.imag])
     target = np.concatenate([gen.ravel().real, gen.ravel().imag])
     params, *_ = np.linalg.lstsq(design_real, target, rcond=None)
 

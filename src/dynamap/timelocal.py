@@ -16,15 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CutoffExceedsData, NearSingularMap, StationaryMapFlagged
-from .maps import (
-    DynamicalMapSeries,
-    devectorize,
-    frobenius_diff,
-    invert,
-    singular_values,
-    vectorize,
-)
+from .errors import CutoffExceedsData, StationaryMapFlagged
+from .maps import DynamicalMapSeries, singular_values, vectorize
 from .numerics import DEFAULT_NUMERICS, NumericsConfig
 
 __all__ = [
@@ -89,21 +82,20 @@ def local_maps(
     """
     if cond_threshold is None:
         cond_threshold = numerics.sv_ratio_min
-    n_steps = len(series)
     maps = series.maps
+    prev, nxt = maps[:-1], maps[1:]
+    sv = singular_values(prev)
+    ratios = np.zeros(len(maps))
+    ratios[0] = 1.0
+    np.divide(sv[:, -1], sv[:, 0], out=ratios[1:], where=sv[:, 0] > 0)
+    flags = np.zeros(len(maps), dtype=bool)
+    # a zero map keeps ratio 0 and is flagged even at threshold 0, as `invert` refuses it
+    flags[1:] = (ratios[1:] < cond_threshold) | (sv[:, 0] == 0)
     out = np.empty_like(maps)
-    ratios = np.ones(n_steps)
-    flags = np.zeros(n_steps, dtype=bool)
     out[0] = maps[0]
-    for n in range(1, n_steps):
-        prev = maps[n - 1]
-        sv = singular_values(prev)
-        ratios[n] = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-        try:
-            out[n] = maps[n] @ invert(prev, cond_threshold=cond_threshold, numerics=numerics)
-        except NearSingularMap:
-            flags[n] = True
-            out[n] = maps[n] @ np.linalg.pinv(prev)
+    ok, bad = ~flags[1:], flags[1:]
+    out[1:][ok] = nxt[ok] @ np.linalg.inv(prev[ok])
+    out[1:][bad] = nxt[bad] @ np.linalg.pinv(prev[bad])
     return LocalMapSeries(dt=series.dt, t0=series.t0, maps=out, sv_ratios=ratios, flagged=flags)
 
 
@@ -113,12 +105,8 @@ def stationarity_profile(local: LocalMapSeries) -> tuple[np.ndarray, np.ndarray]
     Returns (t_n, ||E(t_n + dt, t_n) - E(t_n, t_n - dt)||_F) for n = 1..N-1;
     a decay to zero signals that the maps have become stationary.
     """
-    n_steps = len(local)
-    times = local.times[1:]
-    diffs = np.array(
-        [frobenius_diff(local.maps[n], local.maps[n - 1]) for n in range(1, n_steps)]
-    )
-    return times, diffs
+    diffs = np.linalg.norm(np.diff(local.maps, axis=0), axis=(1, 2))
+    return local.times[1:], diffs
 
 
 def extrapolate_tl(
@@ -131,7 +119,8 @@ def extrapolate_tl(
 
     E_s is the last single-step map inside the cutoff window,
     E(tau_c, tau_c - dt) with tau_c = cutoff_steps * dt. Extrapolating from a
-    flagged map is refused. Memory use is constant in ``total_steps``.
+    flagged map is refused. Returns the states at steps 0..total_steps as an
+    (total_steps + 1, D, D) array.
     """
     k = int(cutoff_steps)
     if k < 1:
@@ -147,14 +136,12 @@ def extrapolate_tl(
         )
     stationary = local.maps[k - 1]
     dim = local.dim
-    states = np.empty((total_steps + 1, dim, dim), dtype=complex)
-    states[0] = np.asarray(initial, dtype=complex)
-    vec = vectorize(initial)
+    vecs = np.empty((total_steps + 1, dim * dim), dtype=complex)
+    vecs[0] = vectorize(initial)
     for n in range(total_steps):
         step = local.maps[n] if n < k else stationary
-        vec = step @ vec
-        states[n + 1] = devectorize(vec)
-    return states
+        vecs[n + 1] = step @ vecs[n]
+    return vecs.reshape(total_steps + 1, dim, dim).transpose(0, 2, 1).copy()
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CutoffExceedsData, DimensionMismatch
-from .maps import DynamicalMapSeries, devectorize, vectorize
+from .maps import DynamicalMapSeries, vectorize
 
 __all__ = ["TransferTensorSeries", "decompose", "extrapolate", "tensor_norm_profile"]
 
@@ -44,7 +44,7 @@ class TransferTensorSeries:
     @classmethod
     def from_tensors(cls, dt: float, tensors: np.ndarray) -> "TransferTensorSeries":
         tensors = np.asarray(tensors, dtype=complex)
-        norms = np.array([np.linalg.norm(t) for t in tensors])
+        norms = np.linalg.norm(tensors, axis=(1, 2))
         return cls(dt=dt, tensors=tensors, norms=norms)
 
     def __len__(self) -> int:
@@ -64,15 +64,15 @@ def decompose(series: DynamicalMapSeries) -> TransferTensorSeries:
     if len(series) == 0:
         raise DimensionMismatch("empty map series")
     maps = series.maps
-    n_steps = len(series)
-    tensors = np.empty_like(maps)
-    tensors[0] = maps[0]
+    n_steps, d2, _ = maps.shape
+    # row block [T_0 | T_1 | ... | T_{N-1}] and column block [E_{N-1}; ...; E_0],
+    # so that T_n = E_n - [T_0 ... T_{n-1}] [E_{n-1}; ...; E_0] is one matmul
+    rows = np.empty((d2, n_steps * d2), dtype=complex)
+    past = maps[::-1].reshape(-1, d2)
+    rows[:, :d2] = maps[0]
     for n in range(1, n_steps):
-        acc = maps[n].copy()
-        for m in range(1, n + 1):
-            # subtract T(t_{n+1-m}) E(t_m, t_0); recursion index shifted to 0-based
-            acc -= tensors[n - m] @ maps[m - 1]
-        tensors[n] = acc
+        rows[:, n * d2 : (n + 1) * d2] = maps[n] - rows[:, : n * d2] @ past[(n_steps - n) * d2 :]
+    tensors = rows.reshape(d2, n_steps, d2).transpose(1, 0, 2)
     return TransferTensorSeries.from_tensors(dt=series.dt, tensors=tensors)
 
 
@@ -84,9 +84,8 @@ def extrapolate(
 ) -> np.ndarray:
     """Propagate an initial state with tensors truncated beyond the cutoff.
 
-    Tensors with index above ``cutoff_steps`` are treated as zero; only the
-    last ``cutoff_steps`` states are kept in memory. Returns the states at
-    steps 0..total_steps as an (total_steps + 1, D, D) array.
+    Tensors with index above ``cutoff_steps`` are treated as zero. Returns the
+    states at steps 0..total_steps as an (total_steps + 1, D, D) array.
     """
     k = int(cutoff_steps)
     if k < 1:
@@ -98,20 +97,13 @@ def extrapolate(
     dim = tensors.dim
     active = tensors.tensors[:k]
 
-    states = np.empty((total_steps + 1, dim, dim), dtype=complex)
-    states[0] = np.asarray(initial, dtype=complex)
-    # history[j] = vec(rho(t_{n-1-j})), most recent first, at most k entries
-    history = np.zeros((k, dim * dim), dtype=complex)
-    history[0] = vectorize(initial)
-    filled = 1
+    vecs = np.empty((total_steps + 1, dim * dim), dtype=complex)
+    vecs[0] = vectorize(initial)
     for n in range(1, total_steps + 1):
-        terms = min(filled, k)
-        vec = np.einsum("kab,kb->a", active[:terms], history[:terms])
-        states[n] = devectorize(vec)
-        history[1:] = history[:-1]
-        history[0] = vec
-        filled = min(filled + 1, k)
-    return states
+        terms = min(n, k)
+        # vec(rho(t_n)) = sum_j T(t_{j+1}) vec(rho(t_{n-1-j})), most recent state first
+        vecs[n] = np.einsum("kab,kb->a", active[:terms], vecs[n - 1 :: -1][:terms])
+    return vecs.reshape(total_steps + 1, dim, dim).transpose(0, 2, 1).copy()
 
 
 def tensor_norm_profile(tensors: TransferTensorSeries) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dynamap.lindblad import gell_mann_basis
 from dynamap.maps import dissipator_superop, hamiltonian_superop, pauli
+
+# property tests draw the same examples on every run, and none fails on a
+# deadline when the machine is loaded; no example database is written
+settings.register_profile("dynamap", derandomize=True, deadline=None, database=None)
+settings.load_profile("dynamap")
 
 SX = pauli("x")
 SY = pauli("y")

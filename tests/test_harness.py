@@ -196,12 +196,6 @@ class TestRunCompare:
                 assert row.err_tl >= 0.0
         assert saw_nan
 
-    def test_workers_give_identical_rows(self):
-        serial = run_compare(embedding_config())
-        parallel = run_compare(embedding_config(workers=2))
-        for a, b in zip(serial.rows, parallel.rows):
-            assert a == b
-
 
 class TestCli:
     def test_unknown_preset_exits_2(self, tmp_path, capsys):
@@ -243,6 +237,16 @@ class TestCli:
         assert rates[0] == "t,gamma_1,gamma_2,gamma_3,min_rate,flagged"
         assert cli_main(["singvals", "--config", "embedding", "--out", str(out)]) == 0
         assert (out / "singvals.csv").read_text().splitlines()[0] == "t,sv_1,sv_2,sv_3,sv_4"
+
+    def test_observable_names_its_column(self, tmp_path):
+        ini = tmp_path / "sx.ini"
+        ini.write_text("[system]\npreset = embedding\n\n[extrapolation]\nobservable = sigma_x\n")
+        out = tmp_path / "sx"
+        for command in ("ttm", "tl"):
+            assert cli_main([command, "--config", str(ini), "--out", str(out), "--tau-c", "1.0"]) == 0
+            lines = (out / f"{command}_obs_tauc1.csv").read_text().splitlines()
+            assert lines[0] == "t,sigma_x"
+            assert lines[1] == "0.0,0.0"  # <sigma_x> of the excited initial state
 
     def test_tau_c_and_t_ref_overrides(self, tmp_path):
         out = tmp_path / "ovr"

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     BranchAmbiguity,
@@ -309,6 +308,8 @@ def logm(
     if not np.isfinite(cond) or cond > numerics.eigvec_cond_max:
         raise NonDiagonalizable(f"eigenvector condition number {cond:.3e}")
     if cond > numerics.logm_fallback_cond:
+        import scipy.linalg as sla
+
         log_map = sla.logm(superop)
     else:
         log_map = evecs @ np.diag(np.log(evals)) @ np.linalg.inv(evecs)
@@ -317,6 +318,8 @@ def logm(
 
 def expm(gen: np.ndarray, dt: float) -> np.ndarray:
     """Map over a step of length dt: exp(gen * dt), by scaling-and-squaring."""
+    import scipy.linalg as sla
+
     return sla.expm(np.asarray(gen, dtype=complex) * dt)
 
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NegativeFrequency, QuadratureFailure, TruncationGuard, UnknownModel
 from .maps import (
@@ -200,6 +199,8 @@ def _segments(sd: SpectralDensity, numerics: NumericsConfig) -> np.ndarray:
 
 def _segmented_quad(f, breakpoints, rtol, scale, **kwargs):
     """Sum of adaptive quadratures over consecutive breakpoint intervals."""
+    from scipy.integrate import quad
+
     total = 0.0
     total_err = 0.0
     epsabs = max(1e-14, 1e-11 * scale)

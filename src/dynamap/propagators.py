@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     MemoryBudgetExceeded,
@@ -165,6 +164,8 @@ def eta_coefficients(
 
     def odd(w):
         return float(sd.profile(w))
+
+    from scipy.integrate import quad
 
     def integrate(f, a, b, **weight):
         val, err, *_ = quad(

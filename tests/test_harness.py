@@ -1,3 +1,7 @@
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -324,3 +328,31 @@ class TestCli:
         (out / "maps.key").unlink()  # outputs written before the key existed
         assert cli_main(["ttm", "--config", "lindblad", "--out", str(out)]) == 0
         assert len(calls) == 2
+
+    def test_scipy_loaded_only_where_used(self, tmp_path):
+        # fresh interpreters: the pytest warning filter has already imported
+        # scipy.integrate into this one
+        def scipy_modules(script):
+            probe = (
+                "import json, sys\n" + script + "\n"
+                "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"
+            )
+            done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            return json.loads(done.stdout.splitlines()[-1])
+
+        assert scipy_modules(
+            "from dynamap.harness import PRESETS, load_config\n"
+            "for name in PRESETS:\n    load_config(name)"
+        ) == []
+        out = str(tmp_path / "maps")
+
+        def cli(*commands):
+            return "from dynamap.cli import main\n" + "".join(
+                f"assert main([{cmd!r}, '--config', 'embedding', '--out', {out!r}]) == 0\n"
+                for cmd in commands
+            )
+
+        generated = scipy_modules(cli("generate"))
+        assert not [m for m in generated if m.startswith("scipy.integrate")]
+        assert scipy_modules(cli("ttm", "tl", "rates", "singvals")) == []

@@ -177,12 +177,14 @@ def _correlation_scale(sd: SpectralDensity) -> float:
 
 
 def _segments(sd: SpectralDensity, numerics: NumericsConfig) -> np.ndarray:
-    """Decade breakpoints anchored at the spectral-density peak.
+    """Decade breakpoints anchored at the spectral-density peak, plus the
+    nodes of a tabulated density.
 
     Adaptive rules sample too coarsely when the support occupies a tiny
     fraction of the integration interval (slowly decaying tails push the
     cutoff out by many orders of magnitude); integrating decade by decade
-    keeps the peak resolved.
+    keeps the peak resolved. A tabulated density is linear between its
+    nodes, so with the nodes as breakpoints no kink lies inside a segment.
     """
     w_peak, w_max = _support_info(sd, numerics.support_floor)
     if w_max == 0.0:
@@ -194,7 +196,9 @@ def _segments(sd: SpectralDensity, numerics: NumericsConfig) -> np.ndarray:
         points.append(edge)
         edge *= 10.0
     points.append(w_max)
-    return np.array(points)
+    if isinstance(sd, TabulatedDensity):
+        points.extend(w for w in sd.omegas if 0.0 < w < w_max)
+    return np.unique(points)
 
 
 def _segmented_quad(f, breakpoints, rtol, scale, **kwargs):

@@ -8,7 +8,6 @@ and time-local extrapolation machinery.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -26,7 +25,6 @@ from .models import (
     SpectralDensity,
     SystemSpec,
     _segments,
-    bath_correlation,
     build_embedding,
 )
 from .numerics import DEFAULT_NUMERICS, NumericsConfig
@@ -107,8 +105,16 @@ class InfluenceCoefficients:
 
 
 #: segments with b (k+1) dt below this phase are integrated whole for eta_k;
-#: above it the window factor is split into cos/sin-weighted pieces
+#: above it the window factor is split into pieces against exp(i m dt w)
 _SPLIT_PHASE = 20.0
+#: degree N of the panel interpolant, taken at N + 1 Gauss-Legendre nodes
+_ORDER = 24
+#: Legendre moments up to this phase come from an 80-point Gauss-Legendre
+#: rule; above it from the upward recurrence of the spherical Bessel
+#: functions, which is stable while the order stays below the phase
+_BESSEL_PHASE = 40.0
+#: most panels one :func:`eta_coefficients` call may hold
+_MAX_PANELS = 4000
 
 
 def eta_coefficients(
@@ -134,95 +140,166 @@ def eta_coefficients(
     runs over the decade segments of the bath correlation. On a segment
     [a, b] with b (k+1) dt < 20 the integrand is integrated whole. Above
     that, 4 sin^2(x/2) cos kx = 2 cos kx - cos (k+1)x - cos (k-1)x (and the
-    same for sin) turns it into cos/sin-weighted quadratures of J coth/w^2
-    and J/w^2 at lags (k-1) dt, k dt and (k+1) dt, shared between
-    neighbouring k; eta_0 there takes dt int J/w as its linear term.
+    same for sin) turns it into integrals of J coth/w^2 and J/w^2 against
+    exp(i m dt w) at m = k-1, k, k+1, shared between neighbouring k; eta_0
+    there takes dt int J/w as its linear term.
 
-    Error rule: for each coefficient the summed error estimates of its
-    quadratures must stay below max(eta_rtol |eta_k|, 1e-10 |C(0)| dt^2,
-    1e-13); otherwise :class:`~dynamap.errors.QuadratureFailure` is raised.
+    Quadrature: all coefficients, and C(0) for the floor below, are
+    integrated at once over the same panels, with J evaluated once per node
+    for every lag. The panels start as the segments. On a panel of
+    half-width h the non-oscillatory factor is interpolated at 25
+    Gauss-Legendre nodes by a degree-24 Legendre series, which is
+    integrated exactly against the panel's exp(i theta x), theta = m dt h
+    (a Filon-type rule; Filon, Proc. R. Soc. Edinburgh 49, 38 (1928)). The
+    moments int P_j(x) exp(i theta x) dx come from an 80-point
+    Gauss-Legendre rule for theta <= 40 and are 2 i^j j_j(theta) above.
+    The whole windowed integrands take theta = 0. A panel's error bound is
+    2 h (|c_23| + |c_24|), from the two trailing Legendre coefficients,
+    summed over the pieces of a coefficient with their weights.
+
+    Refinement: each quantity aims at max(1e-5 rtol |value|, 0.1 floor),
+    below the tolerance of the error rule, since the split pieces cancel
+    against each other. While some summed bound is above its aim, every
+    panel holding more than 1/(number of panels) of it is bisected. This
+    stops when every aim is met, when it would exceed 4000 panels, or when
+    a panel is too small to bisect.
+
+    Error rule: for each coefficient the summed error bounds must then stay
+    below max(eta_rtol |eta_k|, floor) with floor = max(1e-10 |C(0)| dt^2,
+    1e-13), and below max(quad_rtol |C(0)|, floor) for C(0); otherwise, or
+    on a non-finite value, :class:`~dynamap.errors.QuadratureFailure` is
+    raised.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    eta = np.zeros(kmax + 1, dtype=complex)
     breaks = _segments(sd, numerics)
     if breaks.size < 2:
-        return InfluenceCoefficients(dt=dt, kmax=kmax, eta=eta)
-    rtol = numerics.eta_rtol
-    floor = max(1e-10 * abs(bath_correlation(sd, temperature, 0.0, numerics)) * dt**2, 1e-13)
-    # each coefficient sums a few quadratures per segment, and the split
-    # pieces cancel against each other, so every quadrature aims well below
-    # the coefficient's tolerance
-    epsabs = 0.1 * floor / breaks.size
-    epsrel = 1e-5 * rtol
-
-    def sym(w):
-        j = float(sd.profile(w))
-        return j / math.tanh(w / (2.0 * temperature)) if temperature > 0 else j
-
-    def odd(w):
-        return float(sd.profile(w))
-
-    from scipy.integrate import quad
-
-    def integrate(f, a, b, **weight):
-        val, err, *_ = quad(
-            f, a, b, epsabs=epsabs, epsrel=epsrel, limit=200, full_output=1, **weight
+        return InfluenceCoefficients(dt=dt, kmax=kmax, eta=np.zeros(kmax + 1, dtype=complex))
+    rtol = np.full(kmax + 2, numerics.eta_rtol)
+    rtol[-1] = numerics.quad_rtol
+    panels = np.stack([breaks[:-1], breaks[1:], breaks[1:]], axis=1)  # lo, hi, segment top
+    values, errors = _panel_integrals(sd, temperature, dt, kmax, panels)
+    while True:
+        total, err = values.sum(axis=0), errors.sum(axis=0)
+        if not (np.all(np.isfinite(total)) and np.all(np.isfinite(err))):
+            raise QuadratureFailure(np.inf, "eta quadrature is not finite")
+        floor = max(1e-10 * abs(total[-1]) * dt**2, 1e-13)
+        aim = np.maximum(1e-5 * rtol * np.abs(total), 0.1 * floor)
+        over = err > aim
+        split = np.any(errors[:, over] > aim[over] / len(panels), axis=1)
+        halves = panels[split]
+        mid = 0.5 * (halves[:, 0] + halves[:, 1])
+        if (not split.any() or len(panels) + len(halves) > _MAX_PANELS
+                or not np.all((halves[:, 0] < mid) & (mid < halves[:, 1]))):
+            break
+        left, right = halves.copy(), halves.copy()
+        left[:, 1] = right[:, 0] = mid
+        new_values, new_errors = _panel_integrals(
+            sd, temperature, dt, kmax, np.concatenate([left, right])
         )
-        return val, err
+        panels = np.concatenate([panels[~split], left, right])
+        values = np.concatenate([values[~split], new_values])
+        errors = np.concatenate([errors[~split], new_errors])
+    failed = err > np.maximum(rtol * np.abs(total), floor)
+    if failed.any():
+        raise QuadratureFailure(err[failed].max())
+    return InfluenceCoefficients(dt=dt, kmax=kmax, eta=total[:-1])
 
-    @cache
-    def piece(part, m, a, b):
-        """(int_a^b F(w)/w^2 trig(m dt w) dw, error) with (F, trig) = (sym,
-        cos) or (odd, sin)."""
-        if part == "sin" and m == 0:
-            return 0.0, 0.0
-        f = sym if part == "cos" else odd
-        weight = {"weight": part, "wvar": m * dt} if m else {}
-        return integrate(lambda w: f(w) / (w * w), a, b, **weight)
 
-    def window(w):
-        return (2.0 * math.sin(0.5 * w * dt) / w) ** 2
+@cache
+def _filon_tables():
+    """Panel nodes and weights, the map from node values to Legendre
+    coefficients, and the 80-point rule's positive nodes with its even
+    (cos) and odd (sin) moment matrices."""
+    from numpy.polynomial.legendre import leggauss, legvander
 
-    for k in range(kmax + 1):
-        total = 0.0j
-        err = 0.0
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            if b * (k + 1) * dt < _SPLIT_PHASE:
-                if k == 0:
-                    re, re_err = integrate(lambda w: 0.5 * sym(w) * window(w), a, b)
-                    im, im_err = integrate(
-                        lambda w: odd(w) * (math.sin(w * dt) - w * dt) / (w * w), a, b
-                    )
-                else:
-                    re, re_err = integrate(
-                        lambda w: sym(w) * window(w) * math.cos(k * w * dt), a, b
-                    )
-                    im, im_err = integrate(
-                        lambda w: -odd(w) * window(w) * math.sin(k * w * dt), a, b
-                    )
-                total += complex(re, im)
-                err += re_err + im_err
-            elif k == 0:
-                (c0, c0_err), (c1, c1_err), (s1, s1_err) = (
-                    piece("cos", 0, a, b), piece("cos", 1, a, b), piece("sin", 1, a, b)
-                )
-                lin, lin_err = integrate(lambda w: odd(w) / w, a, b)
-                total += complex(c0 - c1, s1 - dt * lin)
-                err += c0_err + c1_err + s1_err + dt * lin_err
-            else:
-                for part, unit in (("cos", 1.0), ("sin", -1.0j)):
-                    (lo, lo_err), (mid, mid_err), (hi, hi_err) = (
-                        piece(part, m, a, b) for m in (k - 1, k, k + 1)
-                    )
-                    total += unit * (2.0 * mid - lo - hi)
-                    err += 2.0 * mid_err + lo_err + hi_err
-        if err > max(rtol * abs(total), floor):
-            raise QuadratureFailure(err)
-        eta[k] = total
-    return InfluenceCoefficients(dt=dt, kmax=kmax, eta=eta)
+    x, w = leggauss(_ORDER + 1)
+    # exact: the (N+1)-point rule integrates P_i P_j for i, j <= N
+    to_legendre = legvander(x, _ORDER) * w[:, None] * (np.arange(_ORDER + 1) + 0.5)
+    y, v = leggauss(80)
+    pos = y > 0
+    moments = 2.0 * v[pos, None] * legvander(y[pos], _ORDER)
+    even = np.arange(_ORDER + 1) % 2 == 0
+    return x, w, to_legendre, y[pos], moments * even, moments * ~even
+
+
+def _legendre_moments(theta):
+    """M_j(theta) = int_{-1}^{1} P_j(x) exp(i theta x) dx for j <= _ORDER,
+    shape theta.shape + (_ORDER + 1,), for theta >= 0."""
+    *_, y, cos_moments, sin_moments = _filon_tables()
+    out = np.empty(theta.shape + (_ORDER + 1,), dtype=complex)
+    small = theta <= _BESSEL_PHASE
+    phase = theta[small][:, None] * y
+    out[small] = np.cos(phase) @ cos_moments + 1j * (np.sin(phase) @ sin_moments)
+    t = theta[~small][:, None]
+    bessel = np.empty((t.shape[0], _ORDER + 1))
+    bessel[:, :1] = np.sin(t) / t
+    bessel[:, 1:2] = (bessel[:, :1] - np.cos(t)) / t
+    for n in range(1, _ORDER):
+        bessel[:, n + 1] = (2 * n + 1) / t[:, 0] * bessel[:, n] - bessel[:, n - 1]
+    out[~small] = 2.0 * bessel * np.array([1, 1j, -1, -1j])[np.arange(_ORDER + 1) % 4]
+    return out
+
+
+@np.errstate(all="ignore")  # overflow on vanishing panels ends as a non-finite total
+def _panel_integrals(sd, temperature, dt, kmax, panels):
+    """(values, error bounds) of every quantity over the panels, each of
+    shape (panels, kmax + 2): column k holds eta_k and the last C(0). A
+    panel row is (lo, hi, top), with top the upper edge of its segment,
+    which decides whether eta_k integrates its windowed integrand whole or
+    in pieces."""
+    x, weights, to_legendre, *_ = _filon_tables()
+    lo, hi, top = panels.T
+    half = 0.5 * (hi - lo)
+    center = 0.5 * (hi + lo)
+    w = center[:, None] + half[:, None] * x
+    odd = sd.profile(w)
+    sym = odd / np.tanh(w / (2.0 * temperature)) if temperature > 0 else odd
+    lags = np.arange(kmax + 2)
+    whole = top[:, None] * (lags[:-1] + 1) * dt < _SPLIT_PHASE
+    values = np.zeros((len(panels), kmax + 2), dtype=complex)
+    errors = np.zeros((len(panels), kmax + 2))
+
+    def bound(f, h):
+        return 2.0 * h * np.abs(f @ to_legendre[:, -2:]).sum(axis=-1)
+
+    values[:, -1] = half * (sym @ weights)
+    errors[:, -1] = bound(sym, half)
+
+    rows = whole[:, 0]  # panels where eta_0 at least is integrated whole
+    if rows.any():
+        wr, h, sr, jr = w[rows], half[rows, None], sym[rows], odd[rows]
+        window = (2.0 * np.sin(0.5 * wr * dt) / wr) ** 2
+        phase = lags[None, :-1, None] * dt * wr[:, None, :]
+        f = window[:, None] * (sr[:, None] * np.cos(phase) - 1j * jr[:, None] * np.sin(phase))
+        f[:, 0] = 0.5 * sr * window + 1j * jr * (np.sin(wr * dt) - wr * dt) / wr**2
+        values[rows, :-1] = np.where(whole[rows], h * (f @ weights), 0.0)
+        errors[rows, :-1] = np.where(whole[rows], bound(f, h), 0.0)
+
+    rows = ~whole[:, -1]  # panels where eta_kmax at least is integrated in pieces
+    if rows.any():
+        wr, h, c = w[rows], half[rows], center[rows]
+        # J coth/w^2 and J/w^2 against exp(i m dt w), and J/w for eta_0
+        pieces = np.stack([sym[rows], odd[rows], odd[rows] * wr], axis=1) / (wr**2)[:, None]
+        coeffs = pieces @ to_legendre
+        moments = _legendre_moments(np.outer(h, lags * dt))
+        shift = h[:, None] * np.exp(1j * np.outer(c, lags * dt))
+        integrals = shift[:, None] * np.einsum("pfj,pmj->pfm", coeffs, moments)
+        # cos pieces of J coth/w^2 minus i sin pieces of J/w^2; the m = 0 sin
+        # piece is exactly 0
+        g = integrals[:, 0].real - 1j * integrals[:, 1].imag
+        split = np.empty((len(wr), kmax + 1), dtype=complex)
+        split[:, 0] = g[:, 0] - g[:, 1] - 1j * dt * integrals[:, 2, 0].real
+        split[:, 1:] = 2.0 * g[:, 1:-1] - g[:, :-2] - g[:, 2:]
+        piece_bound = bound(pieces, h[:, None])
+        split_bound = np.empty((len(wr), kmax + 1))
+        split_bound[:, 0] = 2.0 * piece_bound[:, 0] + piece_bound[:, 1] + dt * piece_bound[:, 2]
+        split_bound[:, 1:] = 4.0 * (piece_bound[:, :1] + piece_bound[:, 1:2])
+        values[rows, :-1] += np.where(whole[rows], 0.0, split)
+        errors[rows, :-1] += np.where(whole[rows], 0.0, split_bound)
+    return values, errors
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +314,16 @@ def quapi_propagate(
 ) -> DynamicalMapSeries:
     """Dynamical maps from iterative path summation with finite memory.
 
-    Works in the eigenbasis of the coupling operator; the system propagator is
-    split symmetrically around the influence insertions, and path variables
-    further apart than ``coeffs.kmax`` steps are decoupled. All D^2 initial
-    basis operators propagate together as one batch through a path tensor
-    over the last ``kmax`` path variables; once that window is full, each
-    step is one contraction against influence tables built once per call
-    (:func:`_propagate_dense`). The memory guard compares the bytes held at
-    once (:func:`_dense_peak_bytes`; about 16 (D^2)^(kmax+1) (2 + D^2/(D^2 -
-    1)) for deep memories) with ``numerics.memory_budget``.
+    Works in the eigenbasis of the coupling operator; the system propagator
+    is split symmetrically around the influence insertions (the half step
+    exp(-i H dt/2) from ``np.linalg.eigh`` of the Hermitian H), and path
+    variables further apart than ``coeffs.kmax`` steps are decoupled. All
+    D^2 initial basis operators propagate together as one batch through a
+    path tensor over the last ``kmax`` path variables; once that window is
+    full, each step is one contraction against influence tables built once
+    per call (:func:`_propagate_dense`). The memory guard compares the bytes
+    held at once (:func:`_dense_peak_bytes`; about 16 (D^2)^(kmax+1) (2 +
+    D^2/(D^2 - 1)) for deep memories) with ``numerics.memory_budget``.
 
     When the system Hamiltonian commutes with the coupling operator the path
     variables never mix, the sum collapses onto constant paths, and an exact
@@ -351,7 +429,8 @@ def _propagate_dense(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, numerics):
             f"exceed the budget {numerics.memory_budget:.3e}"
         )
     self_factor = np.exp(-self_phi)
-    u_half = expm(-1j * h_eig, dt / 2.0)
+    energies, vecs = np.linalg.eigh(h_eig)
+    u_half = (vecs * np.exp(-0.5j * dt * energies)) @ vecs.conj().T
     k_half = np.kron(u_half.conj(), u_half)
     u_full = u_half @ u_half
     k_full = np.kron(u_full.conj(), u_full)

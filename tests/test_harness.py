@@ -345,14 +345,23 @@ class TestCli:
             "from dynamap.harness import PRESETS, load_config\n"
             "for name in PRESETS:\n    load_config(name)"
         ) == []
-        out = str(tmp_path / "maps")
 
-        def cli(*commands):
+        def cli(*commands, config="embedding", out=str(tmp_path / "maps")):
             return "from dynamap.cli import main\n" + "".join(
-                f"assert main([{cmd!r}, '--config', 'embedding', '--out', {out!r}]) == 0\n"
+                f"assert main([{cmd!r}, '--config', {config!r}, '--out', {out!r}]) == 0\n"
                 for cmd in commands
             )
 
         generated = scipy_modules(cli("generate"))
         assert not [m for m in generated if m.startswith("scipy.integrate")]
         assert scipy_modules(cli("ttm", "tl", "rates", "singvals")) == []
+        # the path-integral source: eta by numpy quadrature, the QUAPI
+        # half-step by eigh
+        spin_boson = [
+            cli("compare", config=name, out=str(tmp_path / name))
+            for name in ("subohmic", "drude_lorentz", "qd_phonon")
+        ]
+        quapi = tmp_path / "quapi.ini"
+        quapi.write_text("[system]\npreset = qd_phonon\n\n[propagator]\ntype = quapi\nkmax = 3\n")
+        spin_boson.append(cli("generate", config=str(quapi), out=str(tmp_path / "quapi")))
+        assert scipy_modules("\n".join(spin_boson)) == []

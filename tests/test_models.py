@@ -87,6 +87,16 @@ class TestBathCorrelation:
         oracle = np.trapezoid(sd.profile(w), w)
         assert abs(c0.real - oracle) <= 1e-6 * abs(oracle)
 
+    @pytest.mark.parametrize("n_nodes", [9, 17, 33])
+    def test_tabulated_nodes_are_breakpoints(self, n_nodes):
+        # J is linear between the nodes, so C(0) = int J at T = 0 is the
+        # trapezoid sum over the table exactly; a kink inside a segment held
+        # the quadrature above quad_rtol
+        w = np.linspace(0.0, 8.0, n_nodes)
+        table = TabulatedDensity(omegas=tuple(w), values=tuple(0.3 * w * np.exp(-w / 2.0)))
+        c0 = bath_correlation(table, 0.0, 0.0)
+        assert c0.real == pytest.approx(np.trapezoid(table.values, w), rel=1e-10)
+
     def test_imaginary_part_temperature_independent(self):
         for t in (0.3, 0.7, 1.9):
             cold = bath_correlation(DL, 0.0, t)

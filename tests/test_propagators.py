@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 
@@ -17,6 +16,7 @@ from dynamap.models import (
     SubOhmicDensity,
     SystemSpec,
     TabulatedDensity,
+    _segments,
     bath_correlation,
     builtin_model,
 )
@@ -38,6 +38,10 @@ QD = QDPhononDensity(c_e=0.1271, c_h=-0.0635, omega_e=2.555, omega_h=2.938)
 ZERO = TabulatedDensity(omegas=(0.0, 1.0), values=(0.0, 0.0))
 # triangle with its kinks at decade breakpoints (peak 1, support cutoff 20)
 TRIANGLE = TabulatedDensity(omegas=(0.0, 1.0, 10.0), values=(0.0, 0.5, 0.0))
+_W9 = np.linspace(0.0, 8.0, 9)
+KINKED = TabulatedDensity(
+    omegas=tuple(_W9), values=tuple(0.3 * _W9 * np.exp(-_W9 / 2.0) * (_W9 < 8.0))
+)
 
 
 def truncate(coeffs, kmax):
@@ -140,42 +144,150 @@ def window_integral(sd, temperature, dt, k):
     return complex(re, im)
 
 
+def quadpack_eta(sd, temperature, dt, k):
+    """eta_k by QUADPACK per decade segment, as eta_coefficients computed it
+    before its Filon rule: the windowed integrand whole where b (k+1) dt <
+    20, above that the cos/sin-weighted pieces of J coth/w^2 and J/w^2."""
+    breaks = _segments(sd, DEFAULT_NUMERICS)
+    floor = max(1e-10 * abs(bath_correlation(sd, temperature, 0.0)) * dt**2, 1e-13)
+
+    def sym(w):
+        j = float(sd.profile(w))
+        return j / np.tanh(w / (2.0 * temperature)) if temperature > 0 else j
+
+    def odd(w):
+        return float(sd.profile(w))
+
+    def integrate(f, a, b, **weight):
+        return quad(f, a, b, epsabs=0.1 * floor / breaks.size, epsrel=1e-12, limit=200,
+                    **weight)[0]
+
+    def piece(f, trig, m, a, b):
+        if m == 0:
+            return integrate(lambda w: f(w) / w**2, a, b) if trig == "cos" else 0.0
+        return integrate(lambda w: f(w) / w**2, a, b, weight=trig, wvar=m * dt)
+
+    def window(w):
+        return (2.0 * np.sin(0.5 * w * dt) / w) ** 2
+
+    total = 0.0j
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        if b * (k + 1) * dt < 20.0 and k == 0:
+            total += complex(
+                integrate(lambda w: 0.5 * sym(w) * window(w), a, b),
+                integrate(lambda w: odd(w) * (np.sin(w * dt) - w * dt) / w**2, a, b),
+            )
+        elif b * (k + 1) * dt < 20.0:
+            total += complex(
+                integrate(lambda w: sym(w) * window(w) * np.cos(k * w * dt), a, b),
+                -integrate(lambda w: odd(w) * window(w) * np.sin(k * w * dt), a, b),
+            )
+        elif k == 0:
+            total += complex(
+                piece(sym, "cos", 0, a, b) - piece(sym, "cos", 1, a, b),
+                piece(odd, "sin", 1, a, b) - dt * integrate(lambda w: odd(w) / w, a, b),
+            )
+        else:
+            total += complex(*(
+                sign * (2.0 * piece(f, trig, k, a, b) - piece(f, trig, k - 1, a, b)
+                        - piece(f, trig, k + 1, a, b))
+                for f, trig, sign in ((sym, "cos", 1.0), (odd, "sin", -1.0))
+            ))
+    return total
+
+
+WINDOW_CASES = [
+    (SUB, 0.0, 0.08, 5),
+    (DL, 0.0, 0.05, 5),
+    (DL, 1.0, 0.05, 10),
+    (QD, 0.0, 0.05, 8),
+    (TRIANGLE, 0.5, 0.1, 10),
+]
+WINDOW_IDS = ["subohmic", "drude_lorentz", "drude_lorentz_T1", "qd_phonon", "tabulated_T0.5"]
+
+
 class TestEtaCoefficients:
     def test_zero_density_gives_zero(self):
         coeffs = eta_coefficients(ZERO, 0.0, 0.1, 4)
         assert np.max(np.abs(coeffs.eta)) == 0.0
 
-    @pytest.mark.parametrize(
-        "sd, temperature, dt, kmax",
-        [
-            (SUB, 0.0, 0.08, 5),
-            (DL, 0.0, 0.05, 5),
-            (DL, 1.0, 0.05, 10),
-            (QD, 0.0, 0.05, 8),
-            (TRIANGLE, 0.5, 0.1, 10),
-        ],
-        ids=["subohmic", "drude_lorentz", "drude_lorentz_T1", "qd_phonon", "tabulated_T0.5"],
-    )
+    @pytest.mark.parametrize("sd, temperature, dt, kmax", WINDOW_CASES, ids=WINDOW_IDS)
     def test_matches_window_integral_of_correlation(self, sd, temperature, dt, kmax):
         coeffs = eta_coefficients(sd, temperature, dt, kmax)
         for k in (0, 1, kmax):
             oracle = window_integral(sd, temperature, dt, k)
             assert abs(coeffs.eta[k] - oracle) <= 1e-7 * abs(oracle), k
 
-    def test_unreachable_eta_rtol_raises(self):
-        # linear interpolation between the nodes leaves kinks inside the
-        # decade segments, which holds the quadrature to ~1e-9 relative:
-        # enough for the default eta_rtol, not for 1e-12, where the rule's
-        # floor 1e-10 |C(0)| dt^2 is what remains. The coarser quad_rtol
-        # only lets C(0) itself through the kinks.
-        w = np.linspace(0.0, 8.0, 9)
-        kinked = TabulatedDensity(
-            omegas=tuple(w), values=tuple(0.3 * w * np.exp(-w / 2.0) * (w < 8.0))
+    @pytest.mark.parametrize(
+        "sd, temperature, dt, kmax",
+        WINDOW_CASES + [(SUB, 0.0, 0.02, 250)],
+        ids=WINDOW_IDS + ["criterion_7"],
+    )
+    def test_matches_quadpack_pieces(self, sd, temperature, dt, kmax):
+        coeffs = eta_coefficients(sd, temperature, dt, kmax)
+        for k in sorted({0, 1, kmax // 2, kmax}):
+            oracle = quadpack_eta(sd, temperature, dt, k)
+            assert abs(coeffs.eta[k] - oracle) <= 1e-10 * abs(oracle), k
+
+    @pytest.mark.parametrize(
+        "sd, temperature, dt, eta_rtol, reference",
+        [
+            # the algebraic tail is integrated over high-phase segments up to 4e12
+            (DL, 0.0, 0.05, 1e-7, {
+                0: (0.0009798636446459693386807385, -0.0003862350979561657963978184),
+                1: (0.00126881721781369395228676, -0.0007472495004940500360010156),
+                5: (0.0004426268270279565918911496, -0.0006117961462766393629334956),
+            }),
+            # J coth(w/2T) ~ w^(s-1) at the lower endpoint
+            (SUB, 0.5, 0.08, 1e-7, {
+                0: (0.02960395838356163454628102, -0.006112198046497099755234507),
+                1: (0.04467188385805378050906206, -0.02839875335626275567894109),
+                5: (-0.0002733946014885323089593136, -0.01424236057850667731065071),
+            }),
+            (QD, 0.0, 0.05, 1e-7, {
+                0: (0.006322497744916327795353709, -0.0003832073311013695386806632),
+                1: (0.01240914168803890830001764, -0.002277575378131958884433489),
+                8: (0.001424665052126369459598397, -0.01085413917999610637713067),
+            }),
+            (KINKED, 0.0, 0.1, 1e-12, {
+                0: (0.005148173979804524386162079, -0.0005725017355146989302356896),
+                1: (0.009577755131287203943792046, -0.003288816989271561710342088),
+                5: (-0.0001331826134376825347148819, -0.006659300551996948878453961),
+            }),
+        ],
+        ids=["drude_lorentz", "subohmic_T0.5", "qd_phonon", "tabulated_9_nodes"],
+    )
+    def test_matches_mpmath(self, sd, temperature, dt, eta_rtol, reference):
+        # the references are the frequency integrals of the docstring over
+        # [0, support_cutoff], by mpmath.quad at 30 digits on a partition of
+        # quarter periods (for the table, its nodes); the Drude-Lorentz tail
+        # above w = 200 by mpmath.quadosc on the exp(-i m dt w) pieces, with
+        # dt int J/w in closed form up to the cutoff
+        kmax = max(reference)
+        coeffs = eta_coefficients(
+            sd, temperature, dt, kmax, numerics=NumericsConfig(eta_rtol=eta_rtol)
         )
-        numerics = NumericsConfig(quad_rtol=1e-5)
-        eta_coefficients(kinked, 0.0, 0.1, 5, numerics=numerics)
-        with pytest.raises(QuadratureFailure):
-            eta_coefficients(kinked, 0.0, 0.1, 5, numerics=replace(numerics, eta_rtol=1e-12))
+        for k, (re, im) in reference.items():
+            assert abs(coeffs.eta[k] - complex(re, im)) <= 1e-12 * abs(complex(re, im)), k
+
+    def test_unreachable_eta_rtol_raises(self):
+        # J coth(w/2T) ~ w^-0.98 at w = 0: bisection towards the endpoint
+        # removes a factor 2^-0.02 of the error per step, so no tolerance is
+        # reached before the panels underflow
+        sharp = SubOhmicDensity(alpha=0.2, s=0.02, omega_c=5.0)
+        for eta_rtol in (1e-7, 1e-12):
+            with pytest.raises(QuadratureFailure):
+                eta_coefficients(sharp, 0.5, 0.08, 5, numerics=NumericsConfig(eta_rtol=eta_rtol))
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 7.0, 39.99, 40.01, 250.0, 3e4])
+    def test_legendre_moments_are_spherical_bessel(self, theta):
+        # both branches of the moment table against 2 i^j j_j(theta)
+        from scipy.special import spherical_jn
+
+        order = np.arange(propagators._ORDER + 1)
+        want = 2.0 * 1j**order * spherical_jn(order, theta)
+        got = propagators._legendre_moments(np.array([theta]))[0]
+        assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_diagonal_window_against_double_trapezoid(self):
         dt = 0.05

@@ -320,10 +320,11 @@ def quapi_propagate(
     variables further apart than ``coeffs.kmax`` steps are decoupled. All
     D^2 initial basis operators propagate together as one batch through a
     path tensor over the last ``kmax`` path variables; once that window is
-    full, each step is one contraction against influence tables built once
+    full, each step is one BLAS matmul of the oldest variable against its
+    D^2 x D^2 lag factor and one multiply by an influence table built once
     per call (:func:`_propagate_dense`). The memory guard compares the bytes
     held at once (:func:`_dense_peak_bytes`; about 16 (D^2)^(kmax+1) (2 +
-    D^2/(D^2 - 1)) for deep memories) with ``numerics.memory_budget``.
+    1/(D^2 - 1)) for deep memories) with ``numerics.memory_budget``.
 
     When the system Hamiltonian commutes with the coupling operator the path
     variables never mix, the sum collapses onto constant paths, and an exact
@@ -368,6 +369,7 @@ def quapi_propagate(
 
     basis_change = np.kron(v.T, v.conj().T)  # vec_orig -> vec_eig, unitary
     out = np.einsum("ab,nbc,cd->nad", basis_change.conj().T, maps_eig, basis_change)
+    del maps_eig  # the series copies ``out``; hold two series, not three
     return DynamicalMapSeries(dt=dt, t0=0.0, maps=out)
 
 
@@ -393,20 +395,22 @@ def _dense_peak_bytes(d2: int, kmax: int, n_steps: int) -> int:
     """Upper bound on the bytes :func:`quapi_propagate` holds at once on the
     dense path, counted in complex128 entries:
 
-    - the path tensor and the contraction that replaces it, D^2 (D^2)^kmax
-      each once the window is full;
-    - the influence tables, sum_{h=1..kmax} (D^2)^(h+1);
-    - numpy's buffered loops (the fill multiply, the contraction, the
-      long-double readout), at most two buffers of min(D^2 (D^2)^kmax,
-      ``np.getbufsize()``) entries;
-    - the map series in the coupling eigenbasis, in the original basis and
-      the series' own copy, n_steps D^4 each;
+    - the path tensor and the matmul output that replaces it, D^2 (D^2)^kmax
+      each once the window is full (the matmul reads the tensor through a
+      transposed view, without a copy);
+    - the influence tables, sum_{h=1..kmax-1} (D^2)^(h+1), and the D^4
+      oldest-lag factor;
+    - numpy's buffered loops (the fill multiply, the long-double readout),
+      at most two buffers of min(D^2 (D^2)^kmax, ``np.getbufsize()``)
+      entries;
+    - the map series in the original basis and the series' own copy,
+      n_steps D^4 each;
     - 32 D^4 for the propagators, lag phases and other setup arrays.
     """
     tensor = d2 ** (kmax + 1)
-    tables = sum(d2 ** (h + 1) for h in range(1, kmax + 1))
+    tables = sum(d2 ** (h + 1) for h in range(1, kmax)) + d2 * d2
     buffers = 2 * min(tensor, np.getbufsize())
-    return 16 * (2 * tensor + tables + buffers + (3 * n_steps + 32) * d2 * d2)
+    return 16 * (2 * tensor + tables + buffers + (2 * n_steps + 32) * d2 * d2)
 
 
 def _propagate_dense(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, numerics):
@@ -418,9 +422,14 @@ def _propagate_dense(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, numerics):
     between them; none of it depends on the step. influence[1] is the step
     kernel (z_n, z_new), and influence[h] is influence[h-1] times the lag-h
     factor exp(-lag_phi[h]) on its (oldest, new) axes. While the window
-    fills, each step is one multiply by influence[hist]; once it holds
-    ``kmax`` variables, each step contracts the oldest one against
-    influence[kmax], and no array over all kmax + 1 variables is formed.
+    fills, each step is one multiply by influence[hist]. Once it holds
+    ``kmax`` variables, the step would contract the oldest one against
+    influence[kmax]; that table factorizes into the lag-kmax factor on
+    (oldest, new) times influence[kmax-1] on (middle, new), so the step is
+    one BLAS matmul of the tensor's (b, middle, oldest) view against the
+    D^2 x D^2 lag factor, then one in-place multiply by influence[kmax-1]
+    (at kmax = 1, a matmul against the step kernel alone). Neither
+    influence[kmax] nor any array over all kmax + 1 variables is formed.
     """
     peak_bytes = _dense_peak_bytes(d2, kmax, n_steps)
     if peak_bytes > numerics.memory_budget:
@@ -439,11 +448,17 @@ def _propagate_dense(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, numerics):
     # contraction operand without a copy
     step_kernel = k_full * np.exp(-lag_phi[1]) * self_factor[:, None]
     influence = [None, np.ascontiguousarray(step_kernel.T)]  # (z_n, z_new)
-    for h in range(2, kmax + 1):
+    for h in range(2, kmax):
         lag = np.ascontiguousarray(np.exp(-lag_phi[h]).T)  # (z_old, z_new)
         lag = lag.reshape((d2,) + (1,) * (h - 1) + (d2,))
         influence.append(influence[h - 1][None, ...] * lag)
-    full = influence[kmax].reshape(d2, -1, d2)  # (oldest, middle, new)
+    # influence[kmax][o, m, n] = oldest[o, n] influence[kmax-1][m, n]; at
+    # kmax = 1 the step kernel is the whole factor
+    if kmax == 1:
+        oldest, middle = influence[1], None
+    else:
+        oldest = np.exp(-lag_phi[kmax]).T  # (z_oldest, z_new)
+        middle = influence[kmax - 1].reshape(-1, d2)  # (middle, new)
 
     maps = np.empty((n_steps, d2, d2), dtype=complex)
     # batch axis first: tensor[b, z_hist..., z_latest]
@@ -454,9 +469,11 @@ def _propagate_dense(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, numerics):
         if hist < kmax:
             tensor = tensor[..., None] * influence[hist]
         else:
-            tensor = np.einsum(
-                "bom,omn->bmn", tensor.reshape(d2, d2, -1), full
-            ).reshape(tensor.shape)
+            # (b, middle, oldest) @ (oldest, new): one BLAS product
+            new = np.matmul(tensor.reshape(d2, d2, -1).transpose(0, 2, 1), oldest)
+            if middle is not None:
+                new *= middle
+            tensor = new.reshape(tensor.shape)
         maps[n - 1] = _readout(tensor, k_half)
     return maps
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -365,3 +366,25 @@ class TestCli:
         quapi.write_text("[system]\npreset = qd_phonon\n\n[propagator]\ntype = quapi\nkmax = 3\n")
         spin_boson.append(cli("generate", config=str(quapi), out=str(tmp_path / "quapi")))
         assert scipy_modules("\n".join(spin_boson)) == []
+
+    def test_quapi_maps_independent_of_blas_threads(self, tmp_path):
+        # the full-window QUAPI step is a BLAS matmul; the maps it writes must
+        # not depend on the BLAS thread count (fresh interpreters, since
+        # OpenBLAS reads it once at load)
+        ini = tmp_path / "quapi.ini"
+        ini.write_text(
+            "[system]\npreset = qd_phonon\n\n[grid]\nn_short = 50\n\n"
+            "[propagator]\ntype = quapi\nkmax = 5\n"
+        )
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            done = subprocess.run(
+                [sys.executable, "-m", "dynamap", "generate", "--config", str(ini),
+                 "--out", str(out)],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            written.append((out / "maps.dmap").read_bytes())
+        assert written[0] == written[1]

@@ -393,12 +393,13 @@ class TestQuapiPropagate:
 
     def test_memory_budget_is_peak_bytes(self):
         # complex128 entries at D = 2, kmax = 3, 5 steps: the path tensor and
-        # its contraction, the influence tables, two numpy loop buffers (the
-        # tensor is below np.getbufsize()), three map series and 32 D^4 setup
+        # the matmul output, the influence tables up to h = 2 and the oldest
+        # lag factor, two numpy loop buffers (the tensor is below
+        # np.getbufsize()), two map series and 32 D^4 setup
         system, _, _ = builtin_model("subohmic")
         coeffs = InfluenceCoefficients(dt=0.08, kmax=3, eta=np.full(4, 0.01, dtype=complex))
         tensor = 4 ** 4
-        peak = 16 * (2 * tensor + (4**2 + 4**3 + 4**4) + 2 * tensor + (3 * 5 + 32) * 4**2)
+        peak = 16 * (2 * tensor + (4**2 + 4**3) + 4**2 + 2 * tensor + (2 * 5 + 32) * 4**2)
         with pytest.raises(MemoryBudgetExceeded):
             quapi_propagate(system, coeffs, 5, numerics=NumericsConfig(memory_budget=peak - 1))
         quapi_propagate(system, coeffs, 5, numerics=NumericsConfig(memory_budget=peak))
@@ -425,13 +426,29 @@ class TestQuapiPropagate:
         formula = _dense_peak_bytes(4, kmax, n_steps)
         assert observed <= formula <= 1.5 * observed
 
-    @pytest.mark.parametrize("kmax", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "dim, kmax",
+        [(2, 1), (2, 2), (2, 5), (2, 8), (3, 1), (3, 2), (3, 4)],
+        ids=["1", "2", "5", "8", "qutrit-1", "qutrit-2", "qutrit-4"],
+    )
     @pytest.mark.parametrize("full_window", [False, True])
-    def test_influence_tables_match_lag_products(self, monkeypatch, kmax, full_window):
+    def test_influence_tables_match_lag_products(self, monkeypatch, dim, kmax, full_window):
         # one step, or the fill phase, the switch to a full window and a few
-        # full steps; for kmax = 1 the window is full from the second step on
+        # full steps; for kmax = 1 the window is full from the second step on.
+        # kmax = 8 is the depth of the deep-memory benchmark. At D = 3 the
+        # coupling has three distinct eigenvalues and commutes neither with
+        # H_S nor with the computational basis, and the middle block of a
+        # full-window step (9^(kmax-1)) differs in length from every other axis
         n_steps = kmax + 4 if full_window else 1
-        system = SystemSpec(h_s=0.6 * SX + 0.25 * SZ, coupling_op=0.5 * SZ)
+        if dim == 2:
+            system = SystemSpec(h_s=0.6 * SX + 0.25 * SZ, coupling_op=0.5 * SZ)
+        else:
+            sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / np.sqrt(2.0)
+            sz = np.diag([1.0, 0.0, -1.0])
+            system = SystemSpec(
+                h_s=0.6 * sx + 0.25 * sz + np.diag([0.0, 0.1, 0.0]),
+                coupling_op=0.5 * sz + 0.15 * sx,
+            )
         eta = np.array([(0.04 - 0.03j) / (k + 1) ** 1.5 for k in range(kmax + 1)])
         coeffs = InfluenceCoefficients(dt=0.1, kmax=kmax, eta=eta)
         got = quapi_propagate(system, coeffs, n_steps).maps

@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BranchAmbiguity, DegenerateRates, NonDiagonalizable, NotTracePreserving
+from .errors import DegenerateRates, NotTracePreserving
 from .maps import (
+    _logm_stack,
     dissipator_superop,
     hamiltonian_superop,
-    logm,
     trace_functional,
 )
 from .numerics import DEFAULT_NUMERICS, NumericsConfig
@@ -129,63 +129,82 @@ def canonical_decompose(
     resulting operators rescaled to unit 2-norm (rates pick up the squared
     norm). Raises :class:`NotTracePreserving` if the generator does not
     annihilate the trace functional, and warns with :class:`DegenerateRates`
-    when coinciding rates leave the operators basis-ambiguous.
+    when coinciding rates leave the operators basis-ambiguous. This is
+    :func:`_canonical_stack` on a stack of one generator.
     """
-    gen = np.asarray(gen, dtype=complex)
-    d2 = gen.shape[0]
-    dim = int(round(np.sqrt(d2)))
-    w = trace_functional(dim)
-    residual = float(np.max(np.abs(w @ gen)))
-    scale = max(1.0, float(np.linalg.norm(gen)))
-    if residual > numerics.generator_tp_tol * scale:
-        raise NotTracePreserving(
-            f"trace functional residual {residual:.3e} exceeds tolerance "
-            f"{numerics.generator_tp_tol * scale:.3e}"
-        )
-
-    basis, pair_index, design_real = _canonical_design(dim)
-    n_ops = len(basis)
-    target = np.concatenate([gen.ravel().real, gen.ravel().imag])
-    params, *_ = np.linalg.lstsq(design_real, target, rcond=None)
-
-    h_coeffs = params[:n_ops]
-    c_diag = params[n_ops : 2 * n_ops]
-    coeff = np.diag(c_diag.astype(complex))
-    for idx, (a, b) in enumerate(pair_index):
-        x = params[2 * n_ops + 2 * idx]
-        y = params[2 * n_ops + 2 * idx + 1]
-        coeff[a, b] = x + 1.0j * y
-        coeff[b, a] = x - 1.0j * y
-
-    raw_rates, vecs = np.linalg.eigh(coeff)
-    gaps = np.abs(raw_rates[:, None] - raw_rates[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    if np.min(gaps) < numerics.degenerate_rate_tol:
+    h_eff, rates, ops, degenerate, failures = _canonical_stack(
+        np.asarray(gen, dtype=complex)[None], numerics
+    )
+    if failures:
+        raise failures[0]
+    if degenerate[0]:
         warnings.warn(
             "degenerate canonical rates; operators within the degenerate block "
             "are determined only up to a unitary mixing",
             DegenerateRates,
             stacklevel=2,
         )
+    return CanonicalForm(h_eff=h_eff[0], rates=rates[0], ops=tuple(ops[0]))
 
-    ops = []
-    rates = np.empty(n_ops)
-    for j in range(n_ops):
-        op = sum(vecs[a, j] * basis[a] for a in range(n_ops))
-        two_norm = float(np.linalg.norm(op, 2))
-        op = op / two_norm
-        # fix the free global phase: largest entry real and positive
-        anchor = op.ravel()[int(np.argmax(np.abs(op)))]
-        op = op * np.exp(-1j * np.angle(anchor))
-        ops.append(op)
-        rates[j] = raw_rates[j] * two_norm**2
 
-    order = np.argsort(-np.abs(rates), kind="stable")
-    rates = rates[order]
-    ops = [ops[j] for j in order]
+def _canonical_stack(
+    gens: np.ndarray,
+    numerics: NumericsConfig = DEFAULT_NUMERICS,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[int, Exception]]:
+    """Canonical forms of a stack of generators, in one batched pass.
 
-    h_eff = sum(h_coeffs[a] * basis[a] for a in range(n_ops))
-    return CanonicalForm(h_eff=np.asarray(h_eff), rates=rates, ops=tuple(ops))
+    Returns the effective Hamiltonians, the rates (descending magnitude, one
+    row per generator), the operators, a mask of generators with degenerate
+    rates, and, for each generator that is not trace preserving, its position
+    mapped to the :class:`NotTracePreserving` that :func:`canonical_decompose`
+    raises for it. One ``lstsq`` takes every generator as a right-hand side;
+    one ``eigh`` and one 2-norm pass diagonalize and normalize all of them.
+    """
+    n, d2, _ = gens.shape
+    dim = int(round(np.sqrt(d2)))
+    residual = np.max(np.abs(trace_functional(dim) @ gens), axis=1)
+    limit = numerics.generator_tp_tol * np.maximum(1.0, np.linalg.norm(gens, axis=(1, 2)))
+    failures: dict[int, Exception] = {
+        i: NotTracePreserving(
+            f"trace functional residual {residual[i]:.3e} exceeds tolerance {limit[i]:.3e}"
+        )
+        for i in np.flatnonzero(residual > limit).tolist()
+    }
+
+    basis, pair_index, design_real = _canonical_design(dim)
+    n_ops = len(basis)
+    flat = gens.reshape(n, -1)
+    targets = np.concatenate([flat.real, flat.imag], axis=1)
+    params = np.linalg.lstsq(design_real, targets.T, rcond=None)[0].T
+
+    diag = np.arange(n_ops)
+    a, b = pair_index.T
+    off = params[:, 2 * n_ops :: 2] + 1.0j * params[:, 2 * n_ops + 1 :: 2]
+    coeff = np.zeros((n, n_ops, n_ops), dtype=complex)
+    coeff[:, diag, diag] = params[:, n_ops : 2 * n_ops]
+    coeff[:, a, b] = off
+    coeff[:, b, a] = off.conj()
+
+    raw_rates, vecs = np.linalg.eigh(coeff)
+    gaps = np.abs(raw_rates[:, :, None] - raw_rates[:, None, :])
+    gaps[:, diag, diag] = np.inf
+    degenerate = np.min(gaps, axis=(1, 2)) < numerics.degenerate_rate_tol
+
+    # ops[i, j] = sum_a vecs[i, a, j] basis[a], rescaled to unit 2-norm
+    ops = np.einsum("iaj,axy->ijxy", vecs, basis)
+    two_norms = np.linalg.svd(ops, compute_uv=False)[..., 0]
+    ops /= two_norms[..., None, None]
+    # fix the free global phase: largest entry real and positive
+    entries = ops.reshape(n, n_ops, dim * dim)
+    anchor = np.take_along_axis(entries, np.argmax(np.abs(entries), axis=2)[..., None], axis=2)
+    ops *= np.exp(-1j * np.angle(anchor))[..., None]
+    rates = raw_rates * two_norms**2
+
+    order = np.argsort(-np.abs(rates), axis=1, kind="stable")
+    rates = np.take_along_axis(rates, order, axis=1)
+    ops = np.take_along_axis(ops, order[..., None, None], axis=1)
+    h_eff = np.einsum("ia,axy->ixy", params[:, :n_ops], basis)
+    return h_eff, rates, ops, degenerate, failures
 
 
 def reassemble(form: CanonicalForm) -> np.ndarray:
@@ -212,29 +231,26 @@ def rate_series(
 ) -> RateSeries:
     """Canonical rates of each single-step map, as a time series.
 
-    Each unflagged step is sent through the matrix logarithm and the canonical
-    decomposition; rates come out sorted by descending magnitude with their
-    signs kept. ``min_rate`` is the smallest rate per step; a negative value
-    there witnesses non-Markovian backflow. Steps whose logarithm or
-    decomposition fails are flagged rather than fatal.
+    Every unflagged step goes through the matrix logarithm and the canonical
+    decomposition together: one batched :func:`maps._logm_stack` and one
+    batched :func:`_canonical_stack` over the whole stack. Rates come out
+    sorted by descending magnitude with their signs kept. ``min_rate`` is the
+    smallest rate per step; a negative value there witnesses non-Markovian
+    backflow. A step whose logarithm or decomposition fails (the
+    :class:`BranchAmbiguity`, :class:`NonDiagonalizable` or
+    :class:`NotTracePreserving` that :func:`logm` and
+    :func:`canonical_decompose` raise) is flagged rather than fatal, and its
+    row is NaN.
     """
-    n_steps = len(local)
-    dim = local.dim
-    n_rates = dim * dim - 1
-    rates = np.full((n_steps, n_rates), np.nan)
-    min_rate = np.full(n_steps, np.nan)
     flagged = np.array(local.flagged, dtype=bool)
-    for n in range(n_steps):
-        if flagged[n]:
-            continue
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegenerateRates)
-                gen = logm(local.maps[n], local.dt, numerics=numerics)
-                form = canonical_decompose(gen, numerics=numerics)
-        except (BranchAmbiguity, NonDiagonalizable, NotTracePreserving):
-            flagged[n] = True
-            continue
-        rates[n] = form.rates
-        min_rate[n] = float(np.min(form.rates))
-    return RateSeries(times=local.times, rates=rates, min_rate=min_rate, flagged=flagged)
+    steps = np.flatnonzero(~flagged)
+    gens, failures = _logm_stack(local.maps[steps], local.dt, numerics)
+    # a failed logarithm leaves a zero generator, which decomposes cleanly
+    _, step_rates, _, _, tp_failures = _canonical_stack(gens, numerics)
+    failures.update(tp_failures)
+    flagged[steps[sorted(failures)]] = True
+
+    rates = np.full((len(local), local.dim**2 - 1), np.nan)
+    rates[steps] = step_rates
+    rates[flagged] = np.nan
+    return RateSeries(times=local.times, rates=rates, min_rate=np.min(rates, axis=1), flagged=flagged)

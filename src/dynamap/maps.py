@@ -283,44 +283,162 @@ def logm(
 ) -> np.ndarray:
     """Principal matrix logarithm divided by dt: the generator of the map.
 
-    Uses an eigendecomposition; falls back to inverse scaling-and-squaring
-    when the eigenvector matrix is poorly conditioned. Eigenvalues on (or
+    Uses an eigendecomposition, V diag(log lambda) V^-1; falls back to
+    ``scipy.linalg.logm`` (inverse scaling-and-squaring) when the eigenvector
+    matrix is poorly conditioned. Eigenvalues that are zero or on (or
     numerically touching) the negative real axis have no principal logarithm
-    and raise :class:`BranchAmbiguity`.
+    and raise :class:`BranchAmbiguity`; an eigenvector condition number above
+    ``eigvec_cond_max`` raises :class:`NonDiagonalizable`. This is
+    :func:`_logm_stack` on a stack of one map.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    superop = np.asarray(superop, dtype=complex)
-    evals, evecs = np.linalg.eig(superop)
+    gens, failures = _logm_stack(np.asarray(superop, dtype=complex)[None], dt, numerics)
+    if failures:
+        raise failures[0]
+    return gens[0]
 
-    if np.any(evals == 0):
-        raise BranchAmbiguity("map has a zero eigenvalue; logarithm undefined")
-    args = np.angle(evals)
-    dist_to_cut = np.pi - np.abs(args)
-    if np.any(dist_to_cut < numerics.branch_tol):
-        worst = evals[np.argmin(dist_to_cut)]
-        raise BranchAmbiguity(
-            f"eigenvalue {worst:.6e} lies within {numerics.branch_tol:.1e} of the "
-            "negative real axis"
-        )
 
+def _logm_stack(
+    maps: np.ndarray,
+    dt: float,
+    numerics: NumericsConfig = DEFAULT_NUMERICS,
+) -> tuple[np.ndarray, dict[int, Exception]]:
+    """Generators log(maps[i]) / dt of a stack of maps, in one batched pass.
+
+    Returns the generators and, for each map that has no logarithm, its
+    position mapped to the exception :func:`logm` raises for it; the rows of
+    those maps are zero. One batched ``eig``, ``cond`` and ``inv`` serve every
+    diagonalizable map; scipy is imported only when some map needs the
+    ill-conditioned fallback, which runs map by map.
+    """
+    evals, evecs = np.linalg.eig(maps)
+    dist_to_cut = np.pi - np.abs(np.angle(evals))
     cond = np.linalg.cond(evecs)
-    if not np.isfinite(cond) or cond > numerics.eigvec_cond_max:
-        raise NonDiagonalizable(f"eigenvector condition number {cond:.3e}")
-    if cond > numerics.logm_fallback_cond:
+    zero = np.any(evals == 0, axis=1)
+    near_cut = np.any(dist_to_cut < numerics.branch_tol, axis=1)
+    # a NaN condition number fails this test too
+    defective = ~(cond <= numerics.eigvec_cond_max)
+
+    failures: dict[int, Exception] = {}
+    failed = zero | near_cut | defective
+    for i in np.flatnonzero(failed).tolist():
+        if zero[i]:
+            failures[i] = BranchAmbiguity("map has a zero eigenvalue; logarithm undefined")
+        elif near_cut[i]:
+            worst = evals[i, np.argmin(dist_to_cut[i])]
+            failures[i] = BranchAmbiguity(
+                f"eigenvalue {worst:.6e} lies within {numerics.branch_tol:.1e} of the "
+                "negative real axis"
+            )
+        else:
+            failures[i] = NonDiagonalizable(f"eigenvector condition number {cond[i]:.3e}")
+
+    fallback = ~failed & (cond > numerics.logm_fallback_cond)
+    direct = ~failed & ~fallback
+    gens = np.zeros_like(maps)
+    vecs = evecs[direct]
+    gens[direct] = (vecs * np.log(evals[direct])[:, None, :]) @ np.linalg.inv(vecs)
+    if fallback.any():
         import scipy.linalg as sla
 
-        log_map = sla.logm(superop)
-    else:
-        log_map = evecs @ np.diag(np.log(evals)) @ np.linalg.inv(evecs)
-    return log_map / dt
+        for i in np.flatnonzero(fallback):
+            gens[i] = sla.logm(maps[i])
+    return gens / dt, failures
+
+
+# Pade coefficients b_0..b_m of the [m/m] approximant to exp, the bounds
+# theta_m on the scaled norm up to which it is accurate to unit roundoff, and
+# the reciprocals 1/c_m of the leading backward-error coefficients (Al-Mohy
+# & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009), Table 3.1 and eq. 5.1).
+# theta_13 = 4.25 is the value scipy.linalg.expm uses for the same algorithm.
+_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+          7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 4.25}
+_BACKWARD_C = {3: 100800.0, 5: 10059033600.0, 7: 4487938430976000.0,
+               9: 5914384781877411840000.0,
+               13: 113250775606021113483283660800000000.0}
+
+
+def _onenorm(a: np.ndarray) -> float:
+    return float(np.abs(a).sum(axis=0).max())
+
+
+def _ell(a: np.ndarray, m: int) -> int:
+    """Extra squarings that keep the order-m backward error at unit roundoff:
+    the bound from ||abs(A)^(2m+1)||_1, formed by 2m+1 products with a
+    vector of ones (Al-Mohy & Higham 2009, eq. 5.1)."""
+    abs_a = np.abs(a)
+    v = np.ones(a.shape[0])
+    for _ in range(2 * m + 1):
+        v = v @ abs_a
+    power_norm = float(v.max())
+    if power_norm == 0.0:
+        return 0
+    alpha = power_norm / (_onenorm(a) * _BACKWARD_C[m])
+    return max(int(np.ceil(np.log2(alpha / 2.0**-53) / (2 * m))), 0)
 
 
 def expm(gen: np.ndarray, dt: float) -> np.ndarray:
-    """Map over a step of length dt: exp(gen * dt), by scaling-and-squaring."""
-    import scipy.linalg as sla
+    """Map over a step of length dt: exp(gen * dt).
 
-    return sla.expm(np.asarray(gen, dtype=complex) * dt)
+    Scaling and squaring with the Pade order and scaling chosen as in
+    Al-Mohy & Higham (2009), the algorithm of ``scipy.linalg.expm``: orders
+    3, 5, 7, 9 or 13, picked from exact 1-norms of A^4, A^6, A^8 and A^10
+    (at every size; scipy estimates them from n = 400 on), then one
+    ``np.linalg.solve`` and s squarings. A zero generator takes order 3,
+    whose b_0 I solve returns the identity exactly.
+    """
+    a = np.asarray(gen, dtype=complex) * dt
+    eye = np.eye(a.shape[0], dtype=complex)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    d4 = _onenorm(a4) ** (1 / 4)
+    d6 = _onenorm(a6) ** (1 / 6)
+
+    def pade(powers: list[np.ndarray]) -> np.ndarray:
+        # [m/m] approximant from the even powers I, A^2, ..., A^(m-1):
+        # U = A sum_j b_(2j+1) A^(2j) and V = sum_j b_(2j) A^(2j)
+        b = _PADE[2 * len(powers) - 1]
+        u = a @ sum(b[2 * j + 1] * p for j, p in enumerate(powers))
+        v = sum(b[2 * j] * p for j, p in enumerate(powers))
+        return np.linalg.solve(v - u, v + u)
+
+    if max(d4, d6) < _THETA[3] and _ell(a, 3) == 0:
+        return pade([eye, a2])
+    if max(d4, d6) < _THETA[5] and _ell(a, 5) == 0:
+        return pade([eye, a2, a4])
+    a8 = a6 @ a2
+    d8 = _onenorm(a8) ** (1 / 8)
+    eta_3 = max(d6, d8)
+    if eta_3 < _THETA[7] and _ell(a, 7) == 0:
+        return pade([eye, a2, a4, a6])
+    if eta_3 < _THETA[9] and _ell(a, 9) == 0:
+        return pade([eye, a2, a4, a6, a8])
+
+    eta_5 = min(eta_3, max(d8, _onenorm(a4 @ a6) ** (1 / 10)))
+    s = max(int(np.ceil(np.log2(eta_5 / _THETA[13]))), 0) if eta_5 > 0 else 0
+    s += _ell(a * 2.0**-s, 13)
+    b = _PADE[13]
+    a, a2, a4, a6 = a * 2.0**-s, a2 * 4.0**-s, a4 * 16.0**-s, a6 * 64.0**-s
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    out = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
 def frobenius_diff(a: np.ndarray, b: np.ndarray) -> float:

@@ -353,9 +353,16 @@ class TestCli:
                 for cmd in commands
             )
 
-        generated = scipy_modules(cli("generate"))
-        assert not [m for m in generated if m.startswith("scipy.integrate")]
-        assert scipy_modules(cli("ttm", "tl", "rates", "singvals")) == []
+        # the exact sources: expm by numpy Pade, rates by the batched
+        # eigendecomposition logarithm (no step there needs the scipy fallback)
+        for name in ("embedding", "lindblad"):
+            out = str(tmp_path / name)
+            assert scipy_modules(cli("generate", config=name, out=out)) == []
+            assert scipy_modules(
+                cli("ttm", "tl", "rates", "singvals", "compare", config=name, out=out)
+            ) == []
+            fresh = str(tmp_path / f"{name}_fresh")
+            assert scipy_modules(cli("rates", "compare", config=name, out=fresh)) == []
         # the path-integral source: eta by numpy quadrature, the QUAPI
         # half-step by eigh
         spin_boson = [

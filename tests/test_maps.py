@@ -1,7 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import SX, SY, SZ, random_hermitian, random_lindblad_generator
+from dynamap import harness
 from dynamap.errors import (
     BranchAmbiguity,
     DimensionMismatch,
@@ -214,6 +220,49 @@ class TestLogmExpm:
             gen = random_lindblad_generator(rng)
             m = expm(gen, 0.08)
             assert frobenius_diff(expm(logm(m, 0.08), 0.08), m) <= 1e-8 * np.linalg.norm(m)
+
+
+class TestExpmAgainstScipy:
+    """``maps.expm`` against ``scipy.linalg.expm``, the implementation of the
+    same Al-Mohy & Higham algorithm it replaced. The two round in another
+    order; s squarings amplify that by up to 2^s. A one-step map, whose
+    scaled norm needs no squaring, is held to 1e-14 relative (Frobenius); a
+    map over t_ref to 1e-12."""
+
+    PIPELINE = str(Path(__file__).parents[1] / "perfbench" / "configs" / "embedding_pipeline.ini")
+
+    @staticmethod
+    def rel_err(gen, t):
+        want = scipy.linalg.expm(np.asarray(gen, dtype=complex) * t)
+        return np.linalg.norm(expm(gen, t) - want) / np.linalg.norm(want)
+
+    @pytest.mark.parametrize("name", ["embedding", PIPELINE, "lindblad"])
+    def test_source_generators(self, name):
+        config = harness.load_config(name)
+        gen = harness._exact_embedding(config).generator
+        assert self.rel_err(gen, config.dt) <= 1e-14
+        assert self.rel_err(gen, config.t_ref) <= 1e-12
+        if gen.shape == (196, 196):
+            assert self.rel_err(gen, 400.0) <= 1e-12
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([2, 3, 4]),
+        log_scale=st.floats(-6.0, 3.0),
+    )
+    def test_random_lindblad_generators(self, seed, dim, log_scale):
+        gen = random_lindblad_generator(np.random.default_rng(seed), dim)
+        t = 10.0**log_scale
+        one_step = np.abs(gen * t).sum(axis=0).max() <= 1.0
+        assert self.rel_err(gen, t) <= (1e-14 if one_step else 1e-12)
+
+    def test_non_normal(self):
+        # nilpotent plus diagonal: far from normal, so the Pade order and the
+        # squaring count come from the norms of the powers, not of A
+        rng = np.random.default_rng(41)
+        gen = np.diag(-rng.uniform(0.1, 1.0, 6)) + np.triu(rng.normal(size=(6, 6)), 1)
+        assert self.rel_err(gen, 0.1) <= 1e-14
+        assert self.rel_err(gen, 50.0) <= 1e-12
 
 
 class TestFrobeniusDiff:

@@ -36,7 +36,6 @@ from .harness import (
     run_compare,
     trace_distance,
 )
-from .lindblad import CanonicalForm, RateSeries, canonical_decompose, rate_series, reassemble
 from .maps import (
     DynamicalMapSeries,
     devectorize,
@@ -79,3 +78,14 @@ from .timelocal import (
 from .ttm import TransferTensorSeries, decompose, extrapolate, tensor_norm_profile
 
 __version__ = "0.1.0"
+
+#: names of :mod:`dynamap.lindblad`, which loads on first use of one of them
+_LINDBLAD_NAMES = ("CanonicalForm", "RateSeries", "canonical_decompose", "rate_series", "reassemble")
+
+
+def __getattr__(name):
+    if name in _LINDBLAD_NAMES:
+        from . import lindblad
+
+        return getattr(lindblad, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,7 +24,7 @@ from .errors import ConfigError, DynamapError, UnknownModel
 from .harness import SweepConfig
 from .lindblad import rate_series
 from .maps import DynamicalMapSeries, singular_values
-from .propagators import eta_coefficients
+from .propagators import InfluenceCoefficients
 from .timelocal import extrapolate_tl, local_maps, stationarity_profile, tl_refusal
 from .ttm import decompose, extrapolate, tensor_norm_profile
 
@@ -57,23 +57,22 @@ def _load_config(args) -> SweepConfig:
     return dataclasses.replace(config, **updates) if updates else config
 
 
-def _obtain_series(config: SweepConfig, out: Path, n_steps: int) -> DynamicalMapSeries:
-    """The maps ``generate`` left in ``out`` when its ``maps.key`` matches this
-    config and they reach ``n_steps``; freshly generated maps otherwise."""
+def _obtain_series(
+    config: SweepConfig, out: Path, coeffs: InfluenceCoefficients | None = None
+) -> DynamicalMapSeries:
+    """The first ``n_short`` maps: those ``generate`` left in ``out`` when
+    its ``maps.key`` matches this config, freshly generated (with ``coeffs``
+    when the caller has them) otherwise."""
     cached, key = out / "maps.dmap", out / "maps.key"
     if cached.exists() and key.exists() and key.read_text().strip() == harness.maps_key(config):
         series = serialization.read_map_series(cached)
-        if len(series) >= n_steps:
-            return series
-    return harness.generate_maps(config, n_steps=n_steps)
+        if len(series) >= config.n_short:
+            return series.head(config.n_short)
+    return harness.generate_maps(config, coeffs=coeffs)
 
 
 def _cmd_generate(config: SweepConfig, out: Path, args) -> int:
-    coeffs = None
-    if args.dump_eta and harness._exact_embedding(config) is None:
-        coeffs = eta_coefficients(
-            config.bath, config.system.temperature, config.dt, config.propagator.kmax
-        )
+    coeffs = harness.influence_coefficients(config) if args.dump_eta else None
     series = harness.generate_maps(config, coeffs=coeffs)
     key = out / "maps.key"
     key.unlink(missing_ok=True)  # a stale key must not vouch for the new maps
@@ -85,8 +84,7 @@ def _cmd_generate(config: SweepConfig, out: Path, args) -> int:
 
 
 def _cmd_ttm(config: SweepConfig, out: Path, args) -> int:
-    series = _obtain_series(config, out, config.n_short)
-    tensors = decompose(series.head(config.n_short))
+    tensors = decompose(_obtain_series(config, out))
     serialization.write_tensor_series(out / "tensors.tten", tensors)
     times, norms = tensor_norm_profile(tensors)
     serialization.write_profile_csv(out / "tensor_norms.csv", times, norms, "tensor_norm")
@@ -100,8 +98,7 @@ def _cmd_ttm(config: SweepConfig, out: Path, args) -> int:
 
 
 def _cmd_tl(config: SweepConfig, out: Path, args) -> int:
-    series = _obtain_series(config, out, config.n_short)
-    local = local_maps(series.head(config.n_short), cond_threshold=config.cond_threshold)
+    local = local_maps(_obtain_series(config, out), cond_threshold=config.cond_threshold)
     serialization.write_local_series(out / "local_maps.lmap", local)
     serialization.write_local_flags(out / "local_flags.csv", local)
     times, diffs = stationarity_profile(local)
@@ -122,14 +119,13 @@ def _cmd_tl(config: SweepConfig, out: Path, args) -> int:
 
 
 def _cmd_rates(config: SweepConfig, out: Path, args) -> int:
-    series = _obtain_series(config, out, config.n_short)
-    local = local_maps(series.head(config.n_short), cond_threshold=config.cond_threshold)
+    local = local_maps(_obtain_series(config, out), cond_threshold=config.cond_threshold)
     serialization.write_rates_csv(out / "rates.csv", rate_series(local))
     return 0
 
 
 def _cmd_singvals(config: SweepConfig, out: Path, args) -> int:
-    series = _obtain_series(config, out, config.n_short).head(config.n_short)
+    series = _obtain_series(config, out)
     serialization.write_singvals_csv(
         out / "singvals.csv", series.times, singular_values(series.maps)
     )
@@ -137,8 +133,9 @@ def _cmd_singvals(config: SweepConfig, out: Path, args) -> int:
 
 
 def _cmd_compare(config: SweepConfig, out: Path, args) -> int:
-    series = _obtain_series(config, out, config.n_maps)
-    exact_state = harness.exact_reference_state(config, series)
+    coeffs = harness.influence_coefficients(config)
+    series = _obtain_series(config, out, coeffs)
+    exact_state = harness.exact_reference_state(config, coeffs)
     result = harness.compare_series(series, exact_state, config)
     serialization.write_compare_csv(out / "compare.csv", result)
     serialization.write_profile_csv(

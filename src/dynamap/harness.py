@@ -7,8 +7,6 @@ reference time, recording the error of each against the exact propagation.
 
 from __future__ import annotations
 
-import configparser
-import hashlib
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -18,12 +16,10 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch, UnknownModel
 from .maps import (
     DynamicalMapSeries,
-    devectorize,
     is_hermitian,
     lindblad_generator,
     pauli,
     singular_values,
-    vectorize,
 )
 from .models import (
     DrudeLorentzDensity,
@@ -44,6 +40,7 @@ from .propagators import (
     embedding_state,
     eta_coefficients,
     quapi_propagate,
+    quapi_state,
 )
 from .timelocal import extrapolate_tl, local_maps, stationarity_profile, tl_refusal
 from .ttm import decompose, extrapolate, tensor_norm_profile
@@ -59,6 +56,7 @@ __all__ = [
     "trace_distance",
     "generate_maps",
     "exact_reference_state",
+    "influence_coefficients",
     "maps_key",
     "run_compare",
     "compare_series",
@@ -155,12 +153,6 @@ class SweepConfig:
     @property
     def n_ref(self) -> int:
         return int(round(self.t_ref / self.dt))
-
-    @property
-    def n_maps(self) -> int:
-        """Maps a sweep needs; the path integral reads its reference at n_ref."""
-        needs_ref = isinstance(self.propagator, QuapiPropagator)
-        return max(self.n_short, self.n_ref) if needs_ref else self.n_short
 
     def cutoff_steps(self, tau: float) -> int:
         return max(1, int(round(tau / self.dt)))
@@ -292,6 +284,8 @@ def load_config(path_or_preset: str) -> SweepConfig:
     path = Path(path_or_preset)
     if not path.exists():
         raise ConfigError(f"config file {path_or_preset!r} not found")
+    import configparser
+
     parser = configparser.ConfigParser()
     parser.read(path)
 
@@ -435,48 +429,58 @@ def _exact_embedding(config: SweepConfig) -> Embedding | None:
     return None
 
 
+def influence_coefficients(config: SweepConfig) -> InfluenceCoefficients | None:
+    """The path-integral influence coefficients of ``config``, or None for
+    the exact sources, which need none."""
+    if _exact_embedding(config) is not None:
+        return None
+    return eta_coefficients(
+        config.bath, config.system.temperature, config.dt, config.propagator.kmax
+    )
+
+
 def generate_maps(
-    config: SweepConfig,
-    n_steps: int | None = None,
-    coeffs: InfluenceCoefficients | None = None,
+    config: SweepConfig, coeffs: InfluenceCoefficients | None = None
 ) -> DynamicalMapSeries:
-    """Short-time cumulative maps from the configured propagator.
+    """The ``n_short`` short-time cumulative maps of the configured propagator.
 
     ``coeffs`` are the path-integral influence coefficients when the caller
     already has them; otherwise a path-integral propagator computes them.
     """
-    n = n_steps if n_steps is not None else config.n_short
     emb = _exact_embedding(config)
     if emb is not None:
-        return embedding_propagate(emb, config.dt, n)
+        return embedding_propagate(emb, config.dt, config.n_short)
     if coeffs is None:
-        coeffs = eta_coefficients(
-            config.bath, config.system.temperature, config.dt, config.propagator.kmax
-        )
-    return quapi_propagate(config.system, coeffs, n)
+        coeffs = influence_coefficients(config)
+    return quapi_propagate(config.system, coeffs, config.n_short)
 
 
-def exact_reference_state(config: SweepConfig, series: DynamicalMapSeries) -> np.ndarray:
-    """State at t_ref from the same source that produced the maps.
+def exact_reference_state(
+    config: SweepConfig, coeffs: InfluenceCoefficients | None = None
+) -> np.ndarray:
+    """State at t_ref from the same source that produces the maps, without
+    any map series.
 
     For the embedding and semigroup sources this is a direct matrix
-    exponential; for the path-integral source it is the map at step n_ref
-    (``series`` must then extend to n_ref).
+    exponential. For the path-integral source it is the initial state
+    propagated n_ref steps by :func:`~dynamap.propagators.quapi_state`, with
+    ``coeffs`` when the caller already has them; it equals the map at step
+    n_ref applied to the initial state.
     """
     emb = _exact_embedding(config)
     if emb is not None:
         return embedding_state(emb, config.initial, config.t_ref)
-    if len(series) < config.n_ref:
-        raise ConfigError(
-            f"need maps up to step {config.n_ref} for the exact reference, have {len(series)}"
-        )
-    return devectorize(series.maps[config.n_ref - 1] @ vectorize(config.initial))
+    if coeffs is None:
+        coeffs = influence_coefficients(config)
+    return quapi_state(config.system, coeffs, config.initial, config.n_ref)
 
 
 def maps_key(config: SweepConfig) -> str:
     """sha256 hex digest of everything that shapes the generated maps: the
     system operators (as raw bytes, since the numpy repr of an array is not
     lossless), temperature, bath, propagator, dt and the default numerics."""
+    import hashlib
+
     system = config.system
     digest = hashlib.sha256(system.h_s.tobytes() + system.coupling_op.tobytes())
     for part in (system.h_s.shape, system.temperature, config.bath, config.propagator,
@@ -571,7 +575,10 @@ def compare_series(
 
 
 def run_compare(config: SweepConfig, numerics: NumericsConfig = DEFAULT_NUMERICS) -> CompareResult:
-    """Generate maps for the configured model and run the full comparison."""
-    series = generate_maps(config, n_steps=config.n_maps)
-    exact_state = exact_reference_state(config, series)
+    """Generate the short-time maps for the configured model, propagate the
+    reference state, and run the full comparison; the influence coefficients
+    of a path-integral source are computed once for both."""
+    coeffs = influence_coefficients(config)
+    series = generate_maps(config, coeffs=coeffs)
+    exact_state = exact_reference_state(config, coeffs)
     return compare_series(series, exact_state, config, numerics=numerics)

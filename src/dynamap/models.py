@@ -198,7 +198,8 @@ def _segments(sd: SpectralDensity, numerics: NumericsConfig) -> np.ndarray:
     points.append(w_max)
     if isinstance(sd, TabulatedDensity):
         points.extend(w for w in sd.omegas if 0.0 < w < w_max)
-    return np.unique(points)
+    # sorted(set()) rather than np.unique, which imports numpy.ma on first use
+    return np.array(sorted(set(points)))
 
 
 def _segmented_quad(f, breakpoints, rtol, scale, **kwargs):

@@ -18,7 +18,7 @@ from .errors import (
     NonDiagonalizableCoupling,
     QuadratureFailure,
 )
-from .maps import DynamicalMapSeries, expm, is_hermitian
+from .maps import DynamicalMapSeries, devectorize, expm, is_hermitian, vectorize
 from .models import (
     Embedding,
     EmbeddingSpec,
@@ -36,6 +36,7 @@ __all__ = [
     "embedding_state",
     "eta_coefficients",
     "quapi_propagate",
+    "quapi_state",
 ]
 
 
@@ -322,23 +323,76 @@ def quapi_propagate(
     path tensor over the last ``kmax`` path variables; once that window is
     full, each step is one BLAS matmul of the oldest variable against its
     D^2 x D^2 lag factor and one multiply by an influence table built once
-    per call (:func:`_propagate_dense`). The memory guard compares the bytes
-    held at once (:func:`_dense_peak_bytes`; about 16 (D^2)^(kmax+1) (2 +
-    1/(D^2 - 1)) for deep memories) with ``numerics.memory_budget``.
+    per call (:func:`_dense_path`). Every step is read out into a map. The
+    memory guard compares the bytes held at once (:func:`_dense_peak_bytes`;
+    about 16 (D^2)^(kmax+1) (2 + 1/(D^2 - 1)) for deep memories) with
+    ``numerics.memory_budget``.
 
     When the system Hamiltonian commutes with the coupling operator the path
     variables never mix, the sum collapses onto constant paths, and an exact
     reduced recursion with O(N) memory is used instead of the dense tensor; in
     that regime arbitrarily long memories are affordable.
     """
+    basis_change, h_eig, self_phi, lag_phi, commuting = _path_setup(system, coeffs)
+    args = (coeffs.dt, n_steps, coeffs.kmax, self_phi, lag_phi, system.dim**2)
+    if commuting:
+        maps_eig = _propagate_commuting(np.diag(h_eig).real, *args)
+    else:
+        maps_eig = _propagate_dense(h_eig, *args, numerics)
+    out = np.einsum("ab,nbc,cd->nad", basis_change.conj().T, maps_eig, basis_change)
+    del maps_eig  # the series copies ``out``; hold two series, not three
+    return DynamicalMapSeries(dt=coeffs.dt, t0=0.0, maps=out)
+
+
+def quapi_state(
+    system: SystemSpec,
+    coeffs: InfluenceCoefficients,
+    initial: np.ndarray,
+    n_steps: int,
+    numerics: NumericsConfig = DEFAULT_NUMERICS,
+) -> np.ndarray:
+    """Reduced state after ``n_steps`` steps from ``initial``, the state
+    E(t_n, 0) rho_0 of :func:`quapi_propagate` without its map series.
+
+    The recursion is linear in its initial vectors, so it carries the
+    single eigenbasis vector ``basis_change @ vec(rho_0)`` as a batch of
+    one instead of the D^2 basis operators, through the same setup and the
+    same step loop (:func:`_dense_path`), and reads out once, at the last
+    step. The guard counts that batch and no map series. The commuting
+    branch applies the last map of its constant-path recursion. On a
+    coupling diagonal in the computational basis (the spin-boson presets)
+    the result equals ``quapi_propagate(...).maps[n_steps - 1] @
+    vec(rho_0)`` bit for bit; otherwise the basis change is applied in
+    another order, which moves the last bits.
+    """
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
+    basis_change, h_eig, self_phi, lag_phi, commuting = _path_setup(system, coeffs)
+    d2 = system.dim**2
+    args = (coeffs.dt, n_steps, coeffs.kmax, self_phi, lag_phi, d2)
+    x = basis_change @ vectorize(initial)
+    if commuting:
+        vec = _propagate_commuting(np.diag(h_eig).real, *args)[-1] @ x
+    else:
+        _check_budget(_dense_peak_bytes(d2, coeffs.kmax, 0, batch=1), numerics)
+        k_half, path = _dense_path(h_eig, *args, batch=x[None, :])
+        for tensor in path:
+            pass
+        vec = _readout(tensor, k_half)[:, 0]
+    return devectorize(basis_change.conj().T @ vec)
+
+
+def _path_setup(system: SystemSpec, coeffs: InfluenceCoefficients):
+    """(basis_change, h_eig, self_phi, lag_phi, commuting), shared by
+    :func:`quapi_propagate` and :func:`quapi_state`: the unitary vec_orig ->
+    vec_eig, H_S in the coupling eigenbasis, the influence phases, and
+    whether H_S is diagonal there."""
     h = system.h_s
     o = system.coupling_op
     if not is_hermitian(o):
         raise NonDiagonalizableCoupling("coupling operator must be Hermitian")
     d = system.dim
     d2 = d * d
-    kmax = coeffs.kmax
-    dt = coeffs.dt
     eta = coeffs.eta
 
     svals, v = np.linalg.eigh(o)
@@ -354,23 +408,15 @@ def quapi_propagate(
 
     # influence phases: the new window picks up self_phi plus one lag term
     # per earlier window, phi_k[z_new, z_old]
-    weights = [eta[k] * s_plus - np.conj(eta[k]) * s_minus for k in range(kmax + 1)]
+    weights = [eta[k] * s_plus - np.conj(eta[k]) * s_minus for k in range(coeffs.kmax + 1)]
     self_phi = blip * weights[0]
-    lag_phi = [None] + [np.outer(blip, weights[k]) for k in range(1, kmax + 1)]
+    lag_phi = [None] + [np.outer(blip, weights[k]) for k in range(1, coeffs.kmax + 1)]
 
     off_diag = h_eig - np.diag(np.diag(h_eig))
     h_scale = 1.0 + float(np.linalg.norm(h_eig))
-    if float(np.max(np.abs(off_diag))) <= 1e-13 * h_scale:
-        maps_eig = _propagate_commuting(np.diag(h_eig).real, dt, n_steps, kmax,
-                                        self_phi, lag_phi, d2)
-    else:
-        maps_eig = _propagate_dense(h_eig, dt, n_steps, kmax, self_phi,
-                                    lag_phi, d2, numerics)
-
+    commuting = float(np.max(np.abs(off_diag))) <= 1e-13 * h_scale
     basis_change = np.kron(v.T, v.conj().T)  # vec_orig -> vec_eig, unitary
-    out = np.einsum("ab,nbc,cd->nad", basis_change.conj().T, maps_eig, basis_change)
-    del maps_eig  # the series copies ``out``; hold two series, not three
-    return DynamicalMapSeries(dt=dt, t0=0.0, maps=out)
+    return basis_change, h_eig, self_phi, lag_phi, commuting
 
 
 def _propagate_commuting(energies, dt, n_steps, kmax, self_phi, lag_phi, d2):
@@ -391,31 +437,56 @@ def _propagate_commuting(energies, dt, n_steps, kmax, self_phi, lag_phi, d2):
     return maps
 
 
-def _dense_peak_bytes(d2: int, kmax: int, n_steps: int) -> int:
-    """Upper bound on the bytes :func:`quapi_propagate` holds at once on the
-    dense path, counted in complex128 entries:
+def _dense_peak_bytes(d2: int, kmax: int, n_steps: int, batch: int | None = None) -> int:
+    """Upper bound on the bytes a dense path-integral call holds at once,
+    counted in complex128 entries, for ``batch`` initial vectors (by default
+    the D^2 basis operators of :func:`quapi_propagate`) and ``n_steps`` maps
+    read out (0 for :func:`quapi_state`):
 
-    - the path tensor and the matmul output that replaces it, D^2 (D^2)^kmax
-      each once the window is full (the matmul reads the tensor through a
-      transposed view, without a copy);
+    - the path tensor and the matmul output that replaces it, batch
+      (D^2)^kmax each once the window is full (the matmul reads the tensor
+      through a transposed view, without a copy);
     - the influence tables, sum_{h=1..kmax-1} (D^2)^(h+1), and the D^4
       oldest-lag factor;
     - numpy's buffered loops (the fill multiply, the long-double readout),
-      at most two buffers of min(D^2 (D^2)^kmax, ``np.getbufsize()``)
+      at most two buffers of min(batch (D^2)^kmax, ``np.getbufsize()``)
       entries;
     - the map series in the original basis and the series' own copy,
       n_steps D^4 each;
     - 32 D^4 for the propagators, lag phases and other setup arrays.
     """
-    tensor = d2 ** (kmax + 1)
+    tensor = (d2 if batch is None else batch) * d2**kmax
     tables = sum(d2 ** (h + 1) for h in range(1, kmax)) + d2 * d2
     buffers = 2 * min(tensor, np.getbufsize())
     return 16 * (2 * tensor + tables + buffers + (2 * n_steps + 32) * d2 * d2)
 
 
+def _check_budget(peak_bytes: int, numerics: NumericsConfig) -> None:
+    if peak_bytes > numerics.memory_budget:
+        raise MemoryBudgetExceeded(
+            f"path tensor, influence tables and maps of {peak_bytes:.3e} bytes "
+            f"exceed the budget {numerics.memory_budget:.3e}"
+        )
+
+
 def _propagate_dense(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, numerics):
-    """Path-tensor recursion over the last ``kmax`` path variables with a
-    step-independent influence kernel.
+    """Map series of the dense recursion: every path tensor of
+    :func:`_dense_path` over the D^2 basis operators, read out."""
+    _check_budget(_dense_peak_bytes(d2, kmax, n_steps), numerics)
+    k_half, path = _dense_path(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2)
+    maps = np.empty((n_steps, d2, d2), dtype=complex)
+    for n, tensor in enumerate(path):
+        maps[n] = _readout(tensor, k_half)
+    return maps
+
+
+def _dense_path(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, batch=None):
+    """Half-step kernel ``k_half`` and an iterator over the path tensor
+    after steps 1..n_steps, for the initial eigenbasis vectors in the rows
+    of ``batch`` (by default the D^2 basis operators, without a product).
+    The tensor is tensor[b, z_hist..., z_latest]; :func:`_readout` turns it
+    into E(t_n, 0) applied to the batch. The recursion is linear in the
+    batch axis.
 
     ``influence[h]`` holds, for the new path variable and the h before it,
     the system step, the new point's self term and every lag coupling
@@ -431,12 +502,6 @@ def _propagate_dense(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, numerics):
     (at kmax = 1, a matmul against the step kernel alone). Neither
     influence[kmax] nor any array over all kmax + 1 variables is formed.
     """
-    peak_bytes = _dense_peak_bytes(d2, kmax, n_steps)
-    if peak_bytes > numerics.memory_budget:
-        raise MemoryBudgetExceeded(
-            f"path tensor, influence tables and maps of {peak_bytes:.3e} bytes "
-            f"exceed the budget {numerics.memory_budget:.3e}"
-        )
     self_factor = np.exp(-self_phi)
     energies, vecs = np.linalg.eigh(h_eig)
     u_half = (vecs * np.exp(-0.5j * dt * energies)) @ vecs.conj().T
@@ -459,23 +524,26 @@ def _propagate_dense(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, numerics):
     else:
         oldest = np.exp(-lag_phi[kmax]).T  # (z_oldest, z_new)
         middle = influence[kmax - 1].reshape(-1, d2)  # (middle, new)
+    start = np.ascontiguousarray(k_half.T) if batch is None else batch @ k_half.T
 
-    maps = np.empty((n_steps, d2, d2), dtype=complex)
-    # batch axis first: tensor[b, z_hist..., z_latest]
-    tensor = np.ascontiguousarray(k_half.T) * self_factor[None, :]
-    maps[0] = _readout(tensor, k_half)
-    for n in range(2, n_steps + 1):
-        hist = tensor.ndim - 1
-        if hist < kmax:
-            tensor = tensor[..., None] * influence[hist]
-        else:
-            # (b, middle, oldest) @ (oldest, new): one BLAS product
-            new = np.matmul(tensor.reshape(d2, d2, -1).transpose(0, 2, 1), oldest)
-            if middle is not None:
-                new *= middle
-            tensor = new.reshape(tensor.shape)
-        maps[n - 1] = _readout(tensor, k_half)
-    return maps
+    def steps():
+        # batch axis first: tensor[b, z_hist..., z_latest]
+        tensor = start * self_factor[None, :]
+        yield tensor
+        for _ in range(2, n_steps + 1):
+            hist = tensor.ndim - 1
+            if hist < kmax:
+                tensor = tensor[..., None] * influence[hist]
+            else:
+                # (b, middle, oldest) @ (oldest, new): one BLAS product
+                b = tensor.shape[0]
+                new = np.matmul(tensor.reshape(b, d2, -1).transpose(0, 2, 1), oldest)
+                if middle is not None:
+                    new *= middle
+                tensor = new.reshape(tensor.shape)
+            yield tensor
+
+    return k_half, steps()
 
 
 def _readout(tensor, k_half):

@@ -119,7 +119,9 @@ def extrapolate_tl(
 
     E_s is the last single-step map inside the cutoff window,
     E(tau_c, tau_c - dt) with tau_c = cutoff_steps * dt. Extrapolating from a
-    flagged map is refused. Returns the states at steps 0..total_steps as an
+    flagged map is refused. Each step writes its matrix-vector product with
+    ``out=`` into a preallocated buffer: first through the exact maps, then
+    through E_s alone. Returns the states at steps 0..total_steps as an
     (total_steps + 1, D, D) array.
     """
     k = int(cutoff_steps)
@@ -138,9 +140,10 @@ def extrapolate_tl(
     dim = local.dim
     vecs = np.empty((total_steps + 1, dim * dim), dtype=complex)
     vecs[0] = vectorize(initial)
-    for n in range(total_steps):
-        step = local.maps[n] if n < k else stationary
-        vecs[n + 1] = step @ vecs[n]
+    for n in range(min(k, total_steps)):
+        np.matmul(local.maps[n], vecs[n], out=vecs[n + 1])
+    for state, following in zip(vecs[k:-1], vecs[k + 1 :]):
+        np.matmul(stationary, state, out=following)
     return vecs.reshape(total_steps + 1, dim, dim).transpose(0, 2, 1).copy()
 
 

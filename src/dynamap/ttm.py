@@ -84,8 +84,14 @@ def extrapolate(
 ) -> np.ndarray:
     """Propagate an initial state with tensors truncated beyond the cutoff.
 
-    Tensors with index above ``cutoff_steps`` are treated as zero. Returns the
-    states at steps 0..total_steps as an (total_steps + 1, D, D) array.
+    Tensors with index above ``cutoff_steps`` are treated as zero, so
+    vec(rho(t_n)) = sum_{j < min(n, k)} T(t_{j+1}) vec(rho(t_{n-1-j})). The
+    states are kept newest first in one preallocated buffer (state n in row
+    total_steps - n), so each step reads the rows right after the one it
+    writes, a forward slice, and writes its sum there with ``out=``. Once
+    ``cutoff_steps`` states exist, every step contracts all k tensors, with
+    no per-step bound or slicing of the tensors. Returns the states at steps
+    0..total_steps as an (total_steps + 1, D, D) array.
     """
     k = int(cutoff_steps)
     if k < 1:
@@ -97,12 +103,16 @@ def extrapolate(
     dim = tensors.dim
     active = tensors.tensors[:k]
 
-    vecs = np.empty((total_steps + 1, dim * dim), dtype=complex)
-    vecs[0] = vectorize(initial)
-    for n in range(1, total_steps + 1):
-        terms = min(n, k)
-        # vec(rho(t_n)) = sum_j T(t_{j+1}) vec(rho(t_{n-1-j})), most recent state first
-        vecs[n] = np.einsum("kab,kb->a", active[:terms], vecs[n - 1 :: -1][:terms])
+    newest_first = np.empty((total_steps + 1, dim * dim), dtype=complex)
+    newest_first[total_steps] = vectorize(initial)
+    for n in range(1, min(k, total_steps + 1)):
+        row = total_steps - n
+        np.einsum("kab,kb->a", active[:n], newest_first[row + 1 : row + 1 + n],
+                  out=newest_first[row])
+    for row in range(total_steps - k, -1, -1):
+        np.einsum("kab,kb->a", active, newest_first[row + 1 : row + 1 + k],
+                  out=newest_first[row])
+    vecs = newest_first[::-1]
     return vecs.reshape(total_steps + 1, dim, dim).transpose(0, 2, 1).copy()
 
 

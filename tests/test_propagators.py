@@ -5,8 +5,9 @@ from functools import cache
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import exp1, expi
 
-from conftest import EXCITED, SX, SZ
+from conftest import EXCITED, SX, SY, SZ
 from dynamap.errors import MemoryBudgetExceeded, NonDiagonalizableCoupling, QuadratureFailure
 from dynamap.maps import expm, is_trace_preserving, vectorize, devectorize
 from dynamap.models import (
@@ -28,6 +29,7 @@ from dynamap.propagators import (
     embedding_state,
     eta_coefficients,
     quapi_propagate,
+    quapi_state,
     _dense_peak_bytes,
     _readout,
 )
@@ -42,6 +44,15 @@ _W9 = np.linspace(0.0, 8.0, 9)
 KINKED = TabulatedDensity(
     omegas=tuple(_W9), values=tuple(0.3 * _W9 * np.exp(-_W9 / 2.0) * (_W9 < 8.0))
 )
+
+
+def drude_lorentz_correlation(sd, t):
+    """C(t) at T = 0 for t > 0 in closed form, with J integrated to infinity:
+    int_0^inf 2 lam gamma w e^{-i w t}/(w^2 + gamma^2) dw
+    = -lam gamma [e^{-x} Ei(x) - e^{x} E1(x)] - i pi lam gamma e^{-x}, x = gamma t."""
+    x = sd.gamma * np.asarray(t, dtype=float)
+    scale = sd.lam * sd.gamma
+    return -scale * (np.exp(-x) * expi(x) - np.exp(x) * exp1(x)) - 1j * np.pi * scale * np.exp(-x)
 
 
 def truncate(coeffs, kmax):
@@ -289,13 +300,25 @@ class TestEtaCoefficients:
         got = propagators._legendre_moments(np.array([theta]))[0]
         assert np.max(np.abs(got - want)) <= 1e-14
 
+    def test_drude_lorentz_closed_form_correlation(self):
+        # the closed form integrates J to infinity, bath_correlation up to the
+        # support cutoff w_max; the tail moves C(t) by about 1/(w_max t)
+        # relative, 2.8e-10 at t = 1e-4
+        for t in (1e-4, 1e-3, 1e-2, 0.05, 0.5):
+            want = drude_lorentz_correlation(DL, t)
+            assert abs(bath_correlation(DL, 0.0, t) - want) <= 5e-10 * abs(want)
+
     def test_diagonal_window_against_double_trapezoid(self):
         dt = 0.05
         coeffs = eta_coefficients(DL, 0.0, dt, 1)
         # triangular reduction of the ordered double window integral; C has a
-        # logarithmic short-time singularity, so the trapezoid mesh is graded
+        # logarithmic short-time singularity, so the trapezoid mesh is graded.
+        # C(0) is finite only through the support cutoff and comes from
+        # bath_correlation; every other node from the closed form
         taus = np.concatenate([[0.0], np.geomspace(1e-9 * dt, dt, 8001)])
-        cvals = np.array([bath_correlation(DL, 0.0, t) for t in taus])
+        cvals = np.concatenate(
+            [[bath_correlation(DL, 0.0, 0.0)], drude_lorentz_correlation(DL, taus[1:])]
+        )
         oracle = np.trapezoid((dt - taus) * cvals, taus)
         assert abs(coeffs.eta[0] - oracle) <= 1e-6 * abs(oracle)
 
@@ -492,6 +515,83 @@ class TestQuapiPropagate:
         coeffs = InfluenceCoefficients(dt=0.1, kmax=1, eta=np.zeros(2, dtype=complex))
         with pytest.raises(NonDiagonalizableCoupling):
             quapi_propagate(system, coeffs, 3)
+
+
+class TestQuapiState:
+    """The one-state recursion against the map series it replaces:
+    ``quapi_propagate(...).maps[n - 1] @ vec(rho_0)``."""
+
+    @staticmethod
+    def reference(system, coeffs, initial, n_steps):
+        return devectorize(quapi_propagate(system, coeffs, n_steps).maps[n_steps - 1]
+                           @ vectorize(initial))
+
+    @pytest.mark.parametrize("name", ["subohmic", "drude_lorentz", "qd_phonon"])
+    def test_presets_bit_equal_at_n_ref(self, name):
+        from dynamap.harness import preset_config
+
+        config = preset_config(name)
+        coeffs = eta_coefficients(
+            config.bath, config.system.temperature, config.dt, config.propagator.kmax
+        )
+        got = quapi_state(config.system, coeffs, config.initial, config.n_ref)
+        want = self.reference(config.system, coeffs, config.initial, config.n_ref)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("coupling", [0.5 * SX + 0.2 * SZ, 0.5 * SX + 0.3 * SY + 0.2 * SZ],
+                             ids=["real", "complex"])
+    def test_non_diagonal_coupling_mixed_state(self, subohmic_run, coupling):
+        # the basis change is no permutation here, so it rounds in another
+        # order than the map series' (4 ulp measured); with a sigma_y part
+        # it is complex and not its own inverse
+        _, _, eta, _ = subohmic_run
+        system = SystemSpec(h_s=0.5 * SX - 0.3 * SZ, coupling_op=coupling)
+        rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]], dtype=complex)
+        coeffs = truncate(eta, 4)
+        for n_steps in (1, 3, 4, 5, 40):
+            got = quapi_state(system, coeffs, rho, n_steps)
+            assert np.max(np.abs(got - self.reference(system, coeffs, rho, n_steps))) <= 1e-14
+
+    def test_commuting_branch(self, subohmic_run):
+        _, _, eta, _ = subohmic_run
+        system = SystemSpec(h_s=0.3 * SZ, coupling_op=0.5 * SZ)
+        rho = np.array([[0.6, 0.3 + 0.2j], [0.3 - 0.2j, 0.4]], dtype=complex)
+        coeffs = truncate(eta, 4)
+        for n_steps in (1, 4, 30):
+            got = quapi_state(system, coeffs, rho, n_steps)
+            assert np.array_equal(got, self.reference(system, coeffs, rho, n_steps))
+        # the coherence decays and rotates; populations stay put
+        assert abs(got[0, 1]) < abs(rho[0, 1])
+        assert np.allclose(np.diag(got), np.diag(rho), atol=1e-15)
+
+    def test_memory_budget_is_peak_bytes_of_one_state(self):
+        # complex128 entries at D = 2, kmax = 3 for a batch of one: the path
+        # tensor and the matmul output, the influence tables up to h = 2 and
+        # the oldest lag factor, two numpy loop buffers, no map series and
+        # 32 D^4 setup
+        system, _, _ = builtin_model("subohmic")
+        coeffs = InfluenceCoefficients(dt=0.08, kmax=3, eta=np.full(4, 0.01, dtype=complex))
+        peak = _dense_peak_bytes(4, 3, 0, batch=1)
+        assert peak == 16 * (2 * 4**3 + (4**2 + 4**3) + 4**2 + 2 * 4**3 + 32 * 4**2)
+        with pytest.raises(MemoryBudgetExceeded):
+            quapi_state(system, coeffs, EXCITED, 5, numerics=NumericsConfig(memory_budget=peak - 1))
+        quapi_state(system, coeffs, EXCITED, 5, numerics=NumericsConfig(memory_budget=peak))
+
+    @pytest.mark.parametrize("kmax", [3, 6])
+    def test_memory_budget_bounds_traced_peak_of_state(self, kmax):
+        system, _, _ = builtin_model("subohmic")
+        coeffs = InfluenceCoefficients(
+            dt=0.08, kmax=kmax, eta=np.full(kmax + 1, 0.01, dtype=complex)
+        )
+        n_steps = kmax + 4
+        quapi_state(system, coeffs, EXCITED, n_steps)  # one-time imports and caches
+        tracemalloc.start()
+        try:
+            quapi_state(system, coeffs, EXCITED, n_steps)
+            _, observed = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert observed <= _dense_peak_bytes(4, kmax, 0, batch=1)
 
 
 class TestStationarityBeforeEquilibration:

@@ -307,6 +307,9 @@ def _panel_integrals(sd, temperature, dt, kmax, panels):
 # iterative path-integral propagation
 # ---------------------------------------------------------------------------
 
+#: history rows per pass of :func:`_readout`, which bound its scratch
+_READOUT_ROWS = 2048
+
 def quapi_propagate(
     system: SystemSpec,
     coeffs: InfluenceCoefficients,
@@ -322,10 +325,13 @@ def quapi_propagate(
     D^2 initial basis operators propagate together as one batch through a
     path tensor over the last ``kmax`` path variables; once that window is
     full, each step is one BLAS matmul of the oldest variable against its
-    D^2 x D^2 lag factor and one multiply by an influence table built once
-    per call (:func:`_dense_path`). Every step is read out into a map. The
-    memory guard compares the bytes held at once (:func:`_dense_peak_bytes`;
-    about 16 (D^2)^(kmax+1) (2 + 1/(D^2 - 1)) for deep memories) with
+    D^2 x D^2 lag factor, written into a spare tensor kept across steps,
+    and one multiply by an influence table built once per call
+    (:func:`_dense_path`). Every step is read out into a map by an exact
+    split of the history sum in double, summed by BLAS, and one long-double
+    product rounded once (:func:`_readout`). The memory guard compares the
+    bytes held at once (:func:`_dense_peak_bytes`; about
+    16 (D^2)^(kmax+1) (2 + 1/(D^2 - 1)) for deep memories) with
     ``numerics.memory_budget``.
 
     When the system Hamiltonian commutes with the coupling operator the path
@@ -439,26 +445,29 @@ def _propagate_commuting(energies, dt, n_steps, kmax, self_phi, lag_phi, d2):
 
 def _dense_peak_bytes(d2: int, kmax: int, n_steps: int, batch: int | None = None) -> int:
     """Upper bound on the bytes a dense path-integral call holds at once,
-    counted in complex128 entries, for ``batch`` initial vectors (by default
-    the D^2 basis operators of :func:`quapi_propagate`) and ``n_steps`` maps
-    read out (0 for :func:`quapi_state`):
+    for ``batch`` initial vectors (by default the D^2 basis operators of
+    :func:`quapi_propagate`) and ``n_steps`` maps read out (0 for
+    :func:`quapi_state`). In complex128 entries:
 
-    - the path tensor and the matmul output that replaces it, batch
-      (D^2)^kmax each once the window is full (the matmul reads the tensor
-      through a transposed view, without a copy);
+    - the path tensor and the spare that the next full-window step writes
+      into, batch (D^2)^kmax each (the matmul reads the tensor through a
+      transposed view, without a copy);
     - the influence tables, sum_{h=1..kmax-1} (D^2)^(h+1), and the D^4
       oldest-lag factor;
-    - numpy's buffered loops (the fill multiply, the long-double readout),
-      at most two buffers of min(batch (D^2)^kmax, ``np.getbufsize()``)
-      entries;
+    - numpy's buffered loop of the broadcast multiplies, one buffer of
+      min(batch (D^2)^kmax, ``np.getbufsize()``) entries;
     - the map series in the original basis and the series' own copy,
       n_steps D^4 each;
-    - 32 D^4 for the propagators, lag phases and other setup arrays.
+    - 32 D^4 for the propagators, lag phases and other setup arrays;
+
+    and in float64, the readout's scratch and ones vector, 2 D^2 + 1 per
+    history row for min((D^2)^(kmax-1), ``_READOUT_ROWS``) rows.
     """
     tensor = (d2 if batch is None else batch) * d2**kmax
     tables = sum(d2 ** (h + 1) for h in range(1, kmax)) + d2 * d2
-    buffers = 2 * min(tensor, np.getbufsize())
-    return 16 * (2 * tensor + tables + buffers + (2 * n_steps + 32) * d2 * d2)
+    buffer = min(tensor, np.getbufsize())
+    scratch = min(d2 ** (kmax - 1), _READOUT_ROWS) * (2 * d2 + 1)
+    return 16 * (2 * tensor + tables + buffer + (2 * n_steps + 32) * d2 * d2) + 8 * scratch
 
 
 def _check_budget(peak_bytes: int, numerics: NumericsConfig) -> None:
@@ -501,6 +510,10 @@ def _dense_path(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, batch=None):
     D^2 x D^2 lag factor, then one in-place multiply by influence[kmax-1]
     (at kmax = 1, a matmul against the step kernel alone). Neither
     influence[kmax] nor any array over all kmax + 1 variables is formed.
+    The matmul writes into a spare tensor, first allocated at the first
+    full-window step and then swapped with the current one, so a yielded
+    tensor is overwritten two steps later and the full window allocates no
+    tensor per step.
     """
     self_factor = np.exp(-self_phi)
     energies, vecs = np.linalg.eigh(h_eig)
@@ -529,18 +542,23 @@ def _dense_path(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, batch=None):
     def steps():
         # batch axis first: tensor[b, z_hist..., z_latest]
         tensor = start * self_factor[None, :]
+        spare = None
         yield tensor
         for _ in range(2, n_steps + 1):
             hist = tensor.ndim - 1
             if hist < kmax:
                 tensor = tensor[..., None] * influence[hist]
             else:
-                # (b, middle, oldest) @ (oldest, new): one BLAS product
+                # (b, middle, oldest) @ (oldest, new): one BLAS product,
+                # written over the tensor of two steps before
+                if spare is None:
+                    spare = np.empty_like(tensor)
                 b = tensor.shape[0]
-                new = np.matmul(tensor.reshape(b, d2, -1).transpose(0, 2, 1), oldest)
+                new = spare.reshape(b, -1, d2)
+                np.matmul(tensor.reshape(b, d2, -1).transpose(0, 2, 1), oldest, out=new)
                 if middle is not None:
                     new *= middle
-                tensor = new.reshape(tensor.shape)
+                tensor, spare = spare, tensor
             yield tensor
 
     return k_half, steps()
@@ -548,15 +566,47 @@ def _dense_path(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, batch=None):
 
 def _readout(tensor, k_half):
     """Map from the path tensor: k_half applied to the sum over all history
-    variables, accumulated in extended precision and rounded once.
+    variables, the sum split exactly in double and rounded once.
 
     Each map is read out on its own, so its rounding is uncorrelated with
     that of its neighbours and passes undamped into the single-step maps
-    E(t_{n+1}, t_0) E(t_n, t_0)^{-1}. A double-precision sum over the
-    (D^2)^hist history terms followed by a double product leaves several
-    units in the last place; where ``np.longdouble`` is no wider than double
-    this reduces to that plain sum.
+    E(t_{n+1}, t_0) E(t_n, t_0)^{-1}; a plain double sum over the (D^2)^hist
+    history terms followed by a double product leaves several units in the
+    last place. Instead the history of each batch row, viewed as float64
+    with real and imaginary parts side by side, is split by one power of two
+    sigma = 2^(ceil(log2 m) + 1 + e), for m history rows and max|x| < 2^e:
+    q = (x + sigma) - sigma lies on the grid of sigma's half ulp and
+    sum |q| <= sigma, so every partial sum of q is exact in any order, and
+    lo = x - q is exact (the extraction of Rump, Ogita & Oishi, SIAM J. Sci.
+    Comput. 31, 189 (2008)). Both parts are summed by BLAS products with a
+    ones vector, through a scratch of at most ``_READOUT_ROWS`` history rows;
+    the lo sum rounds by less than 8 m^3 eps^2 max|x| (eps = 2^-53). The two
+    totals are added in ``np.longdouble``, multiplied by k_half there and
+    rounded once (where long double is no wider than double, the sum of the
+    two parts is rounded there too). A row's sigma depends on that row alone,
+    so a batch reads out bit for bit as its rows one by one. A non-finite
+    entry, or one of magnitude 2^(1022 - ceil(log2 m)) or more, gives a
+    non-finite map.
     """
-    history = tensor.reshape(tensor.shape[0], -1, tensor.shape[-1])
-    total = history.sum(axis=1, dtype=np.clongdouble)
+    b, d2 = tensor.shape[0], tensor.shape[-1]
+    parts = np.ascontiguousarray(tensor, dtype=complex).reshape(b, -1, d2).view(float)
+    m = parts.shape[1]
+    flat = parts.reshape(b, -1)
+    top = np.maximum(flat.max(axis=1), -flat.min(axis=1))
+    sigma = np.ldexp(1.0, np.frexp(top)[1] + (m - 1).bit_length() + 1)
+    rows = min(m, _READOUT_ROWS)
+    ones = np.ones(rows)
+    scratch = np.empty((rows, 2 * d2))
+    hi = np.zeros((b, 2 * d2))
+    lo = np.zeros((b, 2 * d2))
+    for r in range(b):
+        for h in range(0, m, rows):
+            x = parts[r, h : h + rows]
+            q = scratch[: len(x)]
+            np.add(x, sigma[r], out=q)
+            q -= sigma[r]
+            hi[r] += ones[: len(x)] @ q  # exact
+            np.subtract(x, q, out=q)
+            lo[r] += ones[: len(x)] @ q
+    total = (hi.astype(np.longdouble) + lo).view(np.clongdouble)
     return (k_half.astype(np.clongdouble) @ total.T).astype(complex)

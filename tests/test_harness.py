@@ -424,14 +424,21 @@ class TestCli:
         numpy_ma = "m.split('.')[:2] == ['numpy', 'ma']"
         assert loaded("\n".join(spin_boson), f"m.startswith('scipy') or {numpy_ma}") == []
 
-    def test_quapi_maps_independent_of_blas_threads(self, tmp_path):
-        # the full-window QUAPI step is a BLAS matmul; the maps it writes must
-        # not depend on the BLAS thread count (fresh interpreters, since
-        # OpenBLAS reads it once at load)
+    @pytest.mark.parametrize(
+        "kmax, grid",
+        [(5, "n_short = 50\n"), (8, "n_short = 12\n\n[extrapolation]\ntau_c = 0.2, 0.4\n")],
+        ids=["kmax5", "kmax8"],
+    )
+    def test_quapi_maps_independent_of_blas_threads(self, tmp_path, kmax, grid):
+        # the full-window QUAPI step and the readout's sums are BLAS products;
+        # the maps they write must not depend on the BLAS thread count (fresh
+        # interpreters, since OpenBLAS reads it once at load). At kmax = 8
+        # each map entry sums 4^7 history terms, in passes through the
+        # readout's scratch
         ini = tmp_path / "quapi.ini"
         ini.write_text(
-            "[system]\npreset = qd_phonon\n\n[grid]\nn_short = 50\n\n"
-            "[propagator]\ntype = quapi\nkmax = 5\n"
+            f"[system]\npreset = qd_phonon\n\n[grid]\n{grid}\n"
+            f"[propagator]\ntype = quapi\nkmax = {kmax}\n"
         )
         written = []
         for threads in ("1", "2"):

@@ -84,6 +84,39 @@ def lag_product_dense(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, numerics)
     return maps
 
 
+def exact_sum(values):
+    """The exact rational sum of float values."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    scale = max(den for _, den in ratios)
+    return Fraction(sum(num * (scale // den) for num, den in ratios), scale)
+
+
+def assert_readout_rounded_once(tensor, k_half):
+    """Each map entry sum_{h,l} k_half[a, l] tensor[b, h, l] of
+    :func:`_readout` against its exact rational value: within half an ulp
+    plus the accumulation error of the platform's long double (about a tenth
+    of an ulp on x86-64)."""
+    got = _readout(tensor, k_half)
+    d2 = tensor.shape[-1]
+    history = tensor.reshape(tensor.shape[0], -1, d2)
+    unit = 0.5 * float(np.finfo(np.longdouble).eps)
+    n_ops = history.shape[1] * d2 + d2
+    for b in range(history.shape[0]):
+        sums = [(exact_sum(history[b, :, l].real), exact_sum(history[b, :, l].imag))
+                for l in range(d2)]
+        norms = np.abs(history[b]).sum(axis=0)
+        for a in range(k_half.shape[0]):
+            re = im = Fraction(0)
+            for l, (tr, ti) in enumerate(sums):
+                kr, ki = Fraction(k_half[a, l].real), Fraction(k_half[a, l].imag)
+                re += kr * tr - ki * ti
+                im += kr * ti + ki * tr
+            size = float(np.sum(2.0 * np.abs(k_half[a]) * norms))
+            for part, exact in ((got[a, b].real, re), (got[a, b].imag, im)):
+                bound = 0.5 * np.spacing(abs(float(exact))) + 2.0 * n_ops * unit * size
+                assert abs(Fraction(part) - exact) <= Fraction(bound)
+
+
 class TestEmbeddingPropagate:
     def test_decoupled_mode_gives_bare_unitary(self):
         system = SystemSpec(h_s=0.5 * SX, coupling_op=0.5 * SZ)
@@ -416,13 +449,15 @@ class TestQuapiPropagate:
 
     def test_memory_budget_is_peak_bytes(self):
         # complex128 entries at D = 2, kmax = 3, 5 steps: the path tensor and
-        # the matmul output, the influence tables up to h = 2 and the oldest
-        # lag factor, two numpy loop buffers (the tensor is below
-        # np.getbufsize()), two map series and 32 D^4 setup
+        # its spare, the influence tables up to h = 2 and the oldest lag
+        # factor, one numpy loop buffer (the tensor is below np.getbufsize()),
+        # two map series and 32 D^4 setup; float64 readout scratch and ones
+        # vector for the 4^2 history rows
         system, _, _ = builtin_model("subohmic")
         coeffs = InfluenceCoefficients(dt=0.08, kmax=3, eta=np.full(4, 0.01, dtype=complex))
         tensor = 4 ** 4
-        peak = 16 * (2 * tensor + (4**2 + 4**3) + 4**2 + 2 * tensor + (2 * 5 + 32) * 4**2)
+        peak = (16 * (2 * tensor + (4**2 + 4**3) + 4**2 + tensor + (2 * 5 + 32) * 4**2)
+                + 8 * 4**2 * (2 * 4 + 1))
         with pytest.raises(MemoryBudgetExceeded):
             quapi_propagate(system, coeffs, 5, numerics=NumericsConfig(memory_budget=peak - 1))
         quapi_propagate(system, coeffs, 5, numerics=NumericsConfig(memory_budget=peak))
@@ -480,32 +515,55 @@ class TestQuapiPropagate:
         assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_readout_rounded_once(self):
-        # each map entry sum_{h,l} k_half[a, l] tensor[b, h, l] against its
-        # exact rational value: within half an ulp plus the accumulation error
-        # of the platform's long double (about a tenth of an ulp on x86-64).
-        # Terms of similar phase, as in the propagator, keep that error small.
+        # terms of similar phase, as in the propagator
         rng = np.random.default_rng(7)
         shape = (4,) * 5  # batch, three history variables, latest
         tensor = 1.0 + 0.2 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
         k_half = 1.0 + 0.2 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        assert_readout_rounded_once(tensor, k_half)
+
+    def test_readout_rounded_once_over_wide_cancelling_history(self):
+        # 4^6 terms per entry, magnitudes over 2^-40..1, and the history's
+        # second half the negated first half plus terms 2^-24 smaller, so
+        # the sums cancel to a small fraction of their terms
+        rng = np.random.default_rng(11)
+        shape = (4, 512, 4)
+        half = 2.0 ** rng.uniform(-40, 0, size=shape) * np.exp(2j * np.pi * rng.random(shape))
+        small = 2.0**-24 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        tensor = np.concatenate([half, -half + small * np.abs(half)], axis=1)
+        k_half = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        assert_readout_rounded_once(tensor.reshape((4,) * 7), k_half)
+
+    @pytest.mark.parametrize("hist", [2, 6], ids=["one-pass", "chunked"])
+    def test_readout_batch_equals_rows(self, hist):
+        # each batch row is split by its own power of two: rows 2^20 apart
+        # in magnitude read out together exactly as one by one. 4^6 history
+        # rows take more than one pass through the scratch
+        rng = np.random.default_rng(3)
+        shape = (4,) + (4,) * hist + (4,)
+        scale = 2.0 ** (20.0 * np.arange(-1, 3)).reshape((4,) + (1,) * (hist + 1))
+        tensor = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        k_half = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         got = _readout(tensor, k_half)
-        history = tensor.reshape(4, -1, 4)
-        unit = 0.5 * float(np.finfo(np.longdouble).eps)
-        n_ops = history.shape[1] * 4 + 4
-        for a in range(4):
-            for b in range(4):
-                re = im = Fraction(0)
-                size = 0.0
-                for h in range(history.shape[1]):
-                    for l in range(4):
-                        kr, ki = Fraction(k_half[a, l].real), Fraction(k_half[a, l].imag)
-                        tr, ti = Fraction(history[b, h, l].real), Fraction(history[b, h, l].imag)
-                        re += kr * tr - ki * ti
-                        im += kr * ti + ki * tr
-                        size += 2.0 * abs(k_half[a, l]) * abs(history[b, h, l])
-                for part, exact in ((got[a, b].real, re), (got[a, b].imag, im)):
-                    bound = 0.5 * np.spacing(abs(float(exact))) + 2.0 * n_ops * unit * size
-                    assert abs(Fraction(part) - exact) <= Fraction(bound)
+        for r in range(4):
+            assert np.array_equal(got[:, r], _readout(tensor[r : r + 1], k_half)[:, 0])
+
+    def test_readout_of_zero_tensor_is_zero(self):
+        k_half = np.full((4, 4), 0.5 + 0.5j)
+        with np.errstate(all="raise"):
+            got = _readout(np.zeros((4, 4, 4, 4), dtype=complex), k_half)
+        assert np.array_equal(got, np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.inf])
+    def test_readout_of_non_finite_entry_is_non_finite(self, bad):
+        rng = np.random.default_rng(5)
+        tensor = rng.normal(size=(4, 4, 4, 4)) + 0j
+        tensor[1, 2, 3, 0] = bad
+        k_half = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        with np.errstate(all="ignore"):
+            got = _readout(tensor, k_half)
+        assert not np.all(np.isfinite(got[:, 1]))
+        assert np.all(np.isfinite(np.delete(got, 1, axis=1)))
 
     def test_non_hermitian_coupling_rejected(self):
         system = object.__new__(SystemSpec)
@@ -566,13 +624,14 @@ class TestQuapiState:
 
     def test_memory_budget_is_peak_bytes_of_one_state(self):
         # complex128 entries at D = 2, kmax = 3 for a batch of one: the path
-        # tensor and the matmul output, the influence tables up to h = 2 and
-        # the oldest lag factor, two numpy loop buffers, no map series and
-        # 32 D^4 setup
+        # tensor and its spare, the influence tables up to h = 2 and the
+        # oldest lag factor, one numpy loop buffer, no map series and 32 D^4
+        # setup; float64 readout scratch and ones vector for 4^2 history rows
         system, _, _ = builtin_model("subohmic")
         coeffs = InfluenceCoefficients(dt=0.08, kmax=3, eta=np.full(4, 0.01, dtype=complex))
         peak = _dense_peak_bytes(4, 3, 0, batch=1)
-        assert peak == 16 * (2 * 4**3 + (4**2 + 4**3) + 4**2 + 2 * 4**3 + 32 * 4**2)
+        assert peak == (16 * (2 * 4**3 + (4**2 + 4**3) + 4**2 + 4**3 + 32 * 4**2)
+                        + 8 * 4**2 * (2 * 4 + 1))
         with pytest.raises(MemoryBudgetExceeded):
             quapi_state(system, coeffs, EXCITED, 5, numerics=NumericsConfig(memory_budget=peak - 1))
         quapi_state(system, coeffs, EXCITED, 5, numerics=NumericsConfig(memory_budget=peak))

@@ -36,9 +36,10 @@ class NumericsConfig:
     eta_rtol: float = 1e-7
     support_floor: float = 1e-12      # spectral-density support cutoff, relative to peak
     # path-tensor propagation budget, in bytes held at once by the dense
-    # recursion (path tensor, its contraction, influence tables, maps; see
-    # propagators._dense_peak_bytes); the default admits kmax <= 12 at D = 2
-    # (3.6e9 bytes at kmax = 12) and kmax <= 7 at D = 3
+    # recursion (one group's path tensor and its spare, influence tables,
+    # maps; see propagators._dense_peak_bytes); the default admits
+    # kmax <= 13 at D = 2 (3.6e9 bytes at kmax = 13, one basis operator at a
+    # time) and kmax <= 8 at D = 3
     memory_budget: float = 2.0**32
 
 

@@ -309,6 +309,13 @@ def _panel_integrals(sd, temperature, dt, kmax, panels):
 
 #: history rows per pass of :func:`_readout`, which bound its scratch
 _READOUT_ROWS = 2048
+#: bytes of full-window path tensor that one group of basis operators of
+#: :func:`_propagate_dense` may fill. At D = 2 and one BLAS thread, 150
+#: steps run 1.4-2.2x faster as one batch of four through kmax = 6, within
+#: 5 % of one at a time at kmax = 7 (256 KiB per operator), and 0-18 %
+#: slower than one at a time at kmax = 8 (1 MiB) and 9. The crossover was
+#: timed at D = 2 only; at D = 3 and above it is unmeasured
+_GROUP_BYTES = 1 << 20
 
 def quapi_propagate(
     system: SystemSpec,
@@ -321,17 +328,22 @@ def quapi_propagate(
     Works in the eigenbasis of the coupling operator; the system propagator
     is split symmetrically around the influence insertions (the half step
     exp(-i H dt/2) from ``np.linalg.eigh`` of the Hermitian H), and path
-    variables further apart than ``coeffs.kmax`` steps are decoupled. All
-    D^2 initial basis operators propagate together as one batch through a
-    path tensor over the last ``kmax`` path variables; once that window is
-    full, each step is one BLAS matmul of the oldest variable against its
-    D^2 x D^2 lag factor, written into a spare tensor kept across steps,
-    and one multiply by an influence table built once per call
-    (:func:`_dense_path`). Every step is read out into a map by an exact
-    split of the history sum in double, summed by BLAS, and one long-double
-    product rounded once (:func:`_readout`). The memory guard compares the
-    bytes held at once (:func:`_dense_peak_bytes`; about
-    16 (D^2)^(kmax+1) (2 + 1/(D^2 - 1)) for deep memories) with
+    variables further apart than ``coeffs.kmax`` steps are decoupled. The
+    D^2 initial basis operators propagate in groups through a path tensor
+    over the last ``kmax`` path variables: all together while one
+    operator's full-window tensor is small, as many as fit 1 MiB of tensor
+    (``_GROUP_BYTES``) beyond that, and one at a time from kmax = 8 at
+    D = 2. Once the window is full, each step is one BLAS matmul of the
+    oldest variable against its D^2 x D^2 lag factor, written into a spare
+    tensor kept across steps, and one multiply by an influence table built
+    once per call and shared by every group (:func:`_dense_path`). Every
+    step is read out into the group's columns of the map by an exact split
+    of the history sum in double, summed by BLAS, and one long-double
+    product rounded once (:func:`_readout`). The recursion and the readout
+    are linear in the batch and act on each operator alone, so the maps do
+    not depend on the grouping, bit for bit. The memory guard compares the
+    bytes held at once for one group (:func:`_dense_peak_bytes`; about
+    16 (D^2)^kmax (2 + D^2/(D^2 - 1)) for deep memories) with
     ``numerics.memory_budget``.
 
     When the system Hamiltonian commutes with the coupling operator the path
@@ -339,6 +351,8 @@ def quapi_propagate(
     reduced recursion with O(N) memory is used instead of the dense tensor; in
     that regime arbitrarily long memories are affordable.
     """
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
     basis_change, h_eig, self_phi, lag_phi, commuting = _path_setup(system, coeffs)
     args = (coeffs.dt, n_steps, coeffs.kmax, self_phi, lag_phi, system.dim**2)
     if commuting:
@@ -363,7 +377,7 @@ def quapi_state(
     The recursion is linear in its initial vectors, so it carries the
     single eigenbasis vector ``basis_change @ vec(rho_0)`` as a batch of
     one instead of the D^2 basis operators, through the same setup and the
-    same step loop (:func:`_dense_path`), and reads out once, at the last
+    same recursion (:func:`_dense_path`), and reads out once, at the last
     step. The guard counts that batch and no map series. The commuting
     branch applies the last map of its constant-path recursion. On a
     coupling diagonal in the computational basis (the spin-boson presets)
@@ -381,8 +395,8 @@ def quapi_state(
         vec = _propagate_commuting(np.diag(h_eig).real, *args)[-1] @ x
     else:
         _check_budget(_dense_peak_bytes(d2, coeffs.kmax, 0, batch=1), numerics)
-        k_half, path = _dense_path(h_eig, *args, batch=x[None, :])
-        for tensor in path:
+        k_half, path = _dense_path(h_eig, *args)
+        for tensor in path(x[None, :]):
             pass
         vec = _readout(tensor, k_half)[:, 0]
     return devectorize(basis_change.conj().T @ vec)
@@ -445,29 +459,41 @@ def _propagate_commuting(energies, dt, n_steps, kmax, self_phi, lag_phi, d2):
 
 def _dense_peak_bytes(d2: int, kmax: int, n_steps: int, batch: int | None = None) -> int:
     """Upper bound on the bytes a dense path-integral call holds at once,
-    for ``batch`` initial vectors (by default the D^2 basis operators of
-    :func:`quapi_propagate`) and ``n_steps`` maps read out (0 for
-    :func:`quapi_state`). In complex128 entries:
+    for ``batch`` initial vectors in one pass of the recursion (by default
+    one group of :func:`_propagate_dense`, :func:`_group_size`) and
+    ``n_steps`` maps read out (0 for :func:`quapi_state`). In complex128
+    entries:
 
     - the path tensor and the spare that the next full-window step writes
       into, batch (D^2)^kmax each (the matmul reads the tensor through a
-      transposed view, without a copy);
+      transposed view, without a copy); a group's tensors are freed before
+      the next group starts;
     - the influence tables, sum_{h=1..kmax-1} (D^2)^(h+1), and the D^4
-      oldest-lag factor;
+      oldest-lag factor, shared by every group;
     - numpy's buffered loop of the broadcast multiplies, one buffer of
       min(batch (D^2)^kmax, ``np.getbufsize()``) entries;
     - the map series in the original basis and the series' own copy,
       n_steps D^4 each;
     - 32 D^4 for the propagators, lag phases and other setup arrays;
 
-    and in float64, the readout's scratch and ones vector, 2 D^2 + 1 per
-    history row for min((D^2)^(kmax-1), ``_READOUT_ROWS``) rows.
+    and in float64, for m = (D^2)^(kmax-1) history rows, the readout's
+    scratch of 2 D^2 entries per row for min(batch m, ``_READOUT_ROWS``)
+    rows and its ones vector of min(m, ``_READOUT_ROWS``).
     """
-    tensor = (d2 if batch is None else batch) * d2**kmax
+    batch = _group_size(d2, kmax) if batch is None else batch
+    tensor = batch * d2**kmax
     tables = sum(d2 ** (h + 1) for h in range(1, kmax)) + d2 * d2
     buffer = min(tensor, np.getbufsize())
-    scratch = min(d2 ** (kmax - 1), _READOUT_ROWS) * (2 * d2 + 1)
+    history = d2 ** (kmax - 1)
+    scratch = min(batch * history, _READOUT_ROWS) * 2 * d2 + min(history, _READOUT_ROWS)
     return 16 * (2 * tensor + tables + buffer + (2 * n_steps + 32) * d2 * d2) + 8 * scratch
+
+
+def _group_size(d2: int, kmax: int) -> int:
+    """Basis operators per pass of :func:`_propagate_dense`: as many as
+    fit ``_GROUP_BYTES`` of full-window path tensor, at least one and at
+    most all D^2."""
+    return max(1, min(d2, _GROUP_BYTES // (16 * d2**kmax)))
 
 
 def _check_budget(peak_bytes: int, numerics: NumericsConfig) -> None:
@@ -479,23 +505,31 @@ def _check_budget(peak_bytes: int, numerics: NumericsConfig) -> None:
 
 
 def _propagate_dense(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, numerics):
-    """Map series of the dense recursion: every path tensor of
-    :func:`_dense_path` over the D^2 basis operators, read out."""
+    """Map series of the dense recursion: the D^2 basis operators run
+    through :func:`_dense_path` in groups of :func:`_group_size`, one group
+    after the other, and every path tensor of a group is read out into its
+    columns of the maps."""
     _check_budget(_dense_peak_bytes(d2, kmax, n_steps), numerics)
     k_half, path = _dense_path(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2)
     maps = np.empty((n_steps, d2, d2), dtype=complex)
-    for n, tensor in enumerate(path):
-        maps[n] = _readout(tensor, k_half)
+    basis = np.eye(d2, dtype=complex)
+    group = _group_size(d2, kmax)
+    for g in range(0, d2, group):
+        cols = slice(g, g + group)
+        for n, tensor in enumerate(path(basis[cols])):
+            maps[n, :, cols] = _readout(tensor, k_half)
     return maps
 
 
-def _dense_path(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, batch=None):
-    """Half-step kernel ``k_half`` and an iterator over the path tensor
-    after steps 1..n_steps, for the initial eigenbasis vectors in the rows
-    of ``batch`` (by default the D^2 basis operators, without a product).
-    The tensor is tensor[b, z_hist..., z_latest]; :func:`_readout` turns it
-    into E(t_n, 0) applied to the batch. The recursion is linear in the
-    batch axis.
+def _dense_path(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2):
+    """Half-step kernel ``k_half`` and the recursion ``path``: ``path(batch)``
+    iterates over the path tensor after steps 1..n_steps for the initial
+    eigenbasis vectors in the rows of ``batch``. The tensor is
+    tensor[b, z_hist..., z_latest]; :func:`_readout` turns it into E(t_n, 0)
+    applied to the batch. The recursion is linear in the batch axis, and
+    every step acts on each row alone (the full-window matmul is one BLAS
+    product per row). The influence tables are built once, here, and shared
+    by every call of ``path``.
 
     ``influence[h]`` holds, for the new path variable and the h before it,
     the system step, the new point's self term and every lag coupling
@@ -537,11 +571,10 @@ def _dense_path(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, batch=None):
     else:
         oldest = np.exp(-lag_phi[kmax]).T  # (z_oldest, z_new)
         middle = influence[kmax - 1].reshape(-1, d2)  # (middle, new)
-    start = np.ascontiguousarray(k_half.T) if batch is None else batch @ k_half.T
 
-    def steps():
+    def path(batch):
         # batch axis first: tensor[b, z_hist..., z_latest]
-        tensor = start * self_factor[None, :]
+        tensor = (batch @ k_half.T) * self_factor[None, :]
         spare = None
         yield tensor
         for _ in range(2, n_steps + 1):
@@ -561,7 +594,7 @@ def _dense_path(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, batch=None):
                 tensor, spare = spare, tensor
             yield tensor
 
-    return k_half, steps()
+    return k_half, path
 
 
 def _readout(tensor, k_half):
@@ -579,11 +612,14 @@ def _readout(tensor, k_half):
     sum |q| <= sigma, so every partial sum of q is exact in any order, and
     lo = x - q is exact (the extraction of Rump, Ogita & Oishi, SIAM J. Sci.
     Comput. 31, 189 (2008)). Both parts are summed by BLAS products with a
-    ones vector, through a scratch of at most ``_READOUT_ROWS`` history rows;
-    the lo sum rounds by less than 8 m^3 eps^2 max|x| (eps = 2^-53). The two
-    totals are added in ``np.longdouble``, multiplied by k_half there and
-    rounded once (where long double is no wider than double, the sum of the
-    two parts is rounded there too). A row's sigma depends on that row alone,
+    ones vector, through a scratch of at most ``_READOUT_ROWS`` history rows:
+    as many batch rows per pass as their histories fit there, each row's
+    history summed by its own BLAS call, or one row in chunks of that many
+    history rows when its history is longer. The lo sum rounds by less than
+    8 m^3 eps^2 max|x| (eps = 2^-53). The two totals are added in
+    ``np.longdouble``, multiplied by k_half there and rounded once (where
+    long double is no wider than double, the sum of the two parts is
+    rounded there too). A row's sigma depends on that row alone,
     so a batch reads out bit for bit as its rows one by one. A non-finite
     entry, or one of magnitude 2^(1022 - ceil(log2 m)) or more, gives a
     non-finite map.
@@ -595,18 +631,21 @@ def _readout(tensor, k_half):
     top = np.maximum(flat.max(axis=1), -flat.min(axis=1))
     sigma = np.ldexp(1.0, np.frexp(top)[1] + (m - 1).bit_length() + 1)
     rows = min(m, _READOUT_ROWS)
+    group = min(b, _READOUT_ROWS // rows)  # batch rows per pass
+    sigma = sigma[:, None, None]  # each row split by its own sigma
     ones = np.ones(rows)
-    scratch = np.empty((rows, 2 * d2))
+    scratch = np.empty(group * rows * 2 * d2)
     hi = np.zeros((b, 2 * d2))
     lo = np.zeros((b, 2 * d2))
-    for r in range(b):
+    for r in range(0, b, group):
+        i = slice(r, r + group)
         for h in range(0, m, rows):
-            x = parts[r, h : h + rows]
-            q = scratch[: len(x)]
-            np.add(x, sigma[r], out=q)
-            q -= sigma[r]
-            hi[r] += ones[: len(x)] @ q  # exact
+            x = parts[i, h : h + rows]
+            q = scratch[: x.size].reshape(x.shape)
+            np.add(x, sigma[i], out=q)
+            q -= sigma[i]
+            hi[i] += ones[: x.shape[-2]] @ q  # exact
             np.subtract(x, q, out=q)
-            lo[r] += ones[: len(x)] @ q
+            lo[i] += ones[: x.shape[-2]] @ q
     total = (hi.astype(np.longdouble) + lo).view(np.clongdouble)
     return (k_half.astype(np.clongdouble) @ total.T).astype(complex)

@@ -30,7 +30,9 @@ from dynamap.propagators import (
     eta_coefficients,
     quapi_propagate,
     quapi_state,
+    _dense_path,
     _dense_peak_bytes,
+    _group_size,
     _readout,
 )
 
@@ -82,6 +84,33 @@ def lag_product_dense(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, numerics)
         tensor = expanded.sum(axis=1) if hist == kmax else expanded
         maps[n - 1] = _readout(tensor, k_half)
     return maps
+
+
+def one_pass_dense(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, numerics):
+    """Reference dense recursion without groups: all D^2 basis operators
+    through :func:`_dense_path` as one batch, every step read out whole."""
+    k_half, path = _dense_path(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2)
+    maps = np.empty((n_steps, d2, d2), dtype=complex)
+    for n, tensor in enumerate(path(np.eye(d2, dtype=complex))):
+        maps[n] = _readout(tensor, k_half)
+    return maps
+
+
+def mixing_case(dim, kmax):
+    """A dense-branch system and influence coefficients. At D = 3 the
+    coupling has three distinct eigenvalues and commutes neither with H_S
+    nor with the computational basis."""
+    if dim == 2:
+        system = SystemSpec(h_s=0.6 * SX + 0.25 * SZ, coupling_op=0.5 * SZ)
+    else:
+        sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / np.sqrt(2.0)
+        sz = np.diag([1.0, 0.0, -1.0])
+        system = SystemSpec(
+            h_s=0.6 * sx + 0.25 * sz + np.diag([0.0, 0.1, 0.0]),
+            coupling_op=0.5 * sz + 0.15 * sx,
+        )
+    eta = np.array([(0.04 - 0.03j) / (k + 1) ** 1.5 for k in range(kmax + 1)])
+    return system, InfluenceCoefficients(dt=0.1, kmax=kmax, eta=eta)
 
 
 def exact_sum(values):
@@ -448,27 +477,32 @@ class TestQuapiPropagate:
             quapi_propagate(system, coeffs, 5, numerics=tight)
 
     def test_memory_budget_is_peak_bytes(self):
-        # complex128 entries at D = 2, kmax = 3, 5 steps: the path tensor and
-        # its spare, the influence tables up to h = 2 and the oldest lag
-        # factor, one numpy loop buffer (the tensor is below np.getbufsize()),
-        # two map series and 32 D^4 setup; float64 readout scratch and ones
-        # vector for the 4^2 history rows
+        # complex128 entries at D = 2, kmax = 3, 5 steps, all four basis
+        # operators in one group: the path tensor and its spare, the influence
+        # tables up to h = 2 and the oldest lag factor, one numpy loop buffer
+        # (the tensor is below np.getbufsize()), two map series and 32 D^4
+        # setup; float64 readout scratch for the 4 x 4^2 history rows of the
+        # batch, read in one pass, and the ones vector for 4^2 rows
         system, _, _ = builtin_model("subohmic")
         coeffs = InfluenceCoefficients(dt=0.08, kmax=3, eta=np.full(4, 0.01, dtype=complex))
         tensor = 4 ** 4
         peak = (16 * (2 * tensor + (4**2 + 4**3) + 4**2 + tensor + (2 * 5 + 32) * 4**2)
-                + 8 * 4**2 * (2 * 4 + 1))
+                + 8 * (4 * 4**2 * 2 * 4 + 4**2))
         with pytest.raises(MemoryBudgetExceeded):
             quapi_propagate(system, coeffs, 5, numerics=NumericsConfig(memory_budget=peak - 1))
         quapi_propagate(system, coeffs, 5, numerics=NumericsConfig(memory_budget=peak))
-        # the default still admits kmax = 8 at D = 2, and refuses kmax = 13
+        # the default still admits kmax = 8 at D = 2; one operator at a time
+        # it admits kmax = 13, and refuses kmax = 14
         assert _dense_peak_bytes(4, 8, 1000) <= DEFAULT_NUMERICS.memory_budget
-        assert _dense_peak_bytes(4, 13, 1) > DEFAULT_NUMERICS.memory_budget
+        assert _dense_peak_bytes(4, 13, 1) <= DEFAULT_NUMERICS.memory_budget
+        assert _dense_peak_bytes(4, 14, 1) > DEFAULT_NUMERICS.memory_budget
 
-    @pytest.mark.parametrize("kmax", [3, 6])
+    @pytest.mark.parametrize("kmax", [3, 6, 8])
     def test_memory_budget_bounds_traced_peak(self, kmax):
         # the guard's count against what the allocator sees: an upper bound,
-        # and at most 1.5 times the traced peak once the window has filled
+        # and at most 1.5 times the traced peak once the window has filled.
+        # kmax = 3 and 6 run the basis operators as one group, kmax = 8 one
+        # at a time
         system, _, _ = builtin_model("subohmic")
         coeffs = InfluenceCoefficients(
             dt=0.08, kmax=kmax, eta=np.full(kmax + 1, 0.01, dtype=complex)
@@ -494,25 +528,39 @@ class TestQuapiPropagate:
         # one step, or the fill phase, the switch to a full window and a few
         # full steps; for kmax = 1 the window is full from the second step on.
         # kmax = 8 is the depth of the deep-memory benchmark. At D = 3 the
-        # coupling has three distinct eigenvalues and commutes neither with
-        # H_S nor with the computational basis, and the middle block of a
-        # full-window step (9^(kmax-1)) differs in length from every other axis
+        # middle block of a full-window step (9^(kmax-1)) differs in length
+        # from every other axis
         n_steps = kmax + 4 if full_window else 1
-        if dim == 2:
-            system = SystemSpec(h_s=0.6 * SX + 0.25 * SZ, coupling_op=0.5 * SZ)
-        else:
-            sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / np.sqrt(2.0)
-            sz = np.diag([1.0, 0.0, -1.0])
-            system = SystemSpec(
-                h_s=0.6 * sx + 0.25 * sz + np.diag([0.0, 0.1, 0.0]),
-                coupling_op=0.5 * sz + 0.15 * sx,
-            )
-        eta = np.array([(0.04 - 0.03j) / (k + 1) ** 1.5 for k in range(kmax + 1)])
-        coeffs = InfluenceCoefficients(dt=0.1, kmax=kmax, eta=eta)
+        system, coeffs = mixing_case(dim, kmax)
         got = quapi_propagate(system, coeffs, n_steps).maps
         monkeypatch.setattr(propagators, "_propagate_dense", lag_product_dense)
         want = quapi_propagate(system, coeffs, n_steps).maps
         assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "dim, kmax, group",
+        [(2, 5, 4), (2, 8, 1), (3, 4, 9), (3, 5, 1)],
+        ids=["5", "8", "qutrit-4", "qutrit-5"],
+    )
+    def test_grouped_operators_match_one_batch(self, monkeypatch, dim, kmax, group):
+        # the basis operators in groups of at most 1 MiB of full-window path
+        # tensor (all together at D = 2, kmax = 5 and D = 3, kmax = 4; one at
+        # a time at kmax = 8 and 5) give the maps of one batch of all D^2
+        # operators bit for bit, through the fill phase and full steps
+        assert _group_size(dim**2, kmax) == group
+        system, coeffs = mixing_case(dim, kmax)
+        got = quapi_propagate(system, coeffs, kmax + 4).maps
+        monkeypatch.setattr(propagators, "_propagate_dense", one_pass_dense)
+        want = quapi_propagate(system, coeffs, kmax + 4).maps
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_steps", [0, -1])
+    @pytest.mark.parametrize("h_s", [0.6 * SX + 0.25 * SZ, 0.3 * SZ], ids=["dense", "commuting"])
+    def test_fewer_than_one_step_rejected(self, n_steps, h_s):
+        system = SystemSpec(h_s=h_s, coupling_op=0.5 * SZ)
+        coeffs = InfluenceCoefficients(dt=0.1, kmax=2, eta=np.full(3, 0.01, dtype=complex))
+        with pytest.raises(ValueError, match="n_steps must be at least 1"):
+            quapi_propagate(system, coeffs, n_steps)
 
     def test_readout_rounded_once(self):
         # terms of similar phase, as in the propagator

@@ -11,7 +11,6 @@ from .errors import (
     DimensionMismatch,
     DynamapError,
     MemoryBudgetExceeded,
-    NearSingularMap,
     NegativeFrequency,
     NonDiagonalizable,
     NonDiagonalizableCoupling,
@@ -40,9 +39,7 @@ from .maps import (
     DynamicalMapSeries,
     devectorize,
     expm,
-    frobenius_diff,
     from_trajectories,
-    invert,
     logm,
     singular_values,
     vectorize,
@@ -55,7 +52,6 @@ from .models import (
     SubOhmicDensity,
     SystemSpec,
     TabulatedDensity,
-    bath_correlation,
     build_embedding,
     builtin_model,
     spectral_density_eval,

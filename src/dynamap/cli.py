@@ -51,7 +51,7 @@ def _load_config(args) -> SweepConfig:
     config = harness.load_config(args.config)
     updates = {}
     if args.tau_c:
-        updates["tau_c"] = tuple(float(x) for x in args.tau_c.split(","))
+        updates["tau_c"] = harness._parse_tau_c(args.tau_c)
     if args.t_ref is not None:
         updates["t_ref"] = args.t_ref
     return dataclasses.replace(config, **updates) if updates else config

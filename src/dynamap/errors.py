@@ -15,23 +15,6 @@ class SingularBasis(DynamapError):
     """Tomography basis is too ill-conditioned to solve for maps."""
 
 
-class NearSingularMap(DynamapError):
-    """A map was too close to singular to invert reliably.
-
-    Carries the smallest and largest singular value of the offending map.
-    """
-
-    def __init__(self, sigma_min: float, sigma_max: float, message: str | None = None):
-        self.sigma_min = float(sigma_min)
-        self.sigma_max = float(sigma_max)
-        ratio = self.sigma_min / self.sigma_max if self.sigma_max > 0 else 0.0
-        super().__init__(
-            message
-            or f"map is near-singular: sigma_min/sigma_max = {ratio:.3e} "
-            f"(sigma_min={self.sigma_min:.3e}, sigma_max={self.sigma_max:.3e})"
-        )
-
-
 class BranchAmbiguity(DynamapError):
     """Matrix logarithm undefined: an eigenvalue lies on the negative real axis."""
 

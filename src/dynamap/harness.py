@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -135,10 +136,14 @@ class SweepConfig:
     cond_threshold: float | None = None
 
     def __post_init__(self):
-        if self.dt <= 0 or self.n_short < 1:
-            raise ConfigError("dt must be positive and n_short at least 1")
+        if not (0 < self.dt < np.inf) or self.n_short < 1:
+            raise ConfigError("dt must be finite and positive and n_short at least 1")
+        if not np.isfinite(self.t_ref):
+            raise ConfigError(f"t_ref = {self.t_ref} must be finite")
         if not self.tau_c:
             raise ConfigError("tau_c list must not be empty")
+        if not all(0 < tau < np.inf for tau in self.tau_c):
+            raise ConfigError(f"every tau_c must be finite and positive, got {self.tau_c}")
         worst = max(self.tau_c)
         if self.t_ref <= worst:
             raise ConfigError(f"t_ref = {self.t_ref} must exceed max(tau_c) = {worst}")
@@ -158,49 +163,31 @@ class SweepConfig:
         return max(1, int(round(tau / self.dt)))
 
 
-def _preset_subohmic() -> SweepConfig:
-    """Driven sub-ohmic model at desk scale: memory-truncated path-integral
-    source over a t = 40 horizon. The cutoff sweep spans the regime where
-    truncation errors are above machine noise (the effective memory of the
-    truncated source is below ~1.5 time units)."""
-    system, bath, grid = builtin_model("subohmic")
+# The spin-boson presets run the built-in models through the path integral
+# at kmax = 5: model name -> (n_short, t_ref, tau_c), with t_ref None for
+# the model's own. The sub-ohmic one is at desk scale, over a t = 40 horizon;
+# its cutoff sweep spans the regime where truncation errors are above machine
+# noise (the effective memory of the truncated source is below ~1.5 time
+# units).
+_SPIN_BOSON_PRESETS = {
+    "subohmic": (500, 40.0, (0.16, 0.24, 0.32, 0.48, 0.64, 0.8, 0.96, 1.2)),
+    "drude_lorentz": (100, None, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0, 1.5)),
+    "qd_phonon": (100, None, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0, 1.5)),
+}
+
+
+def _preset_spin_boson(name: str) -> SweepConfig:
+    system, bath, grid = builtin_model(name)
+    n_short, t_ref, tau_c = _SPIN_BOSON_PRESETS[name]
     return SweepConfig(
-        label="subohmic",
+        label=name,
         system=system,
         bath=bath,
         propagator=QuapiPropagator(kmax=5),
         dt=grid.dt,
-        n_short=500,
-        t_ref=40.0,
-        tau_c=(0.16, 0.24, 0.32, 0.48, 0.64, 0.8, 0.96, 1.2),
-    )
-
-
-def _preset_drude_lorentz() -> SweepConfig:
-    system, bath, grid = builtin_model("drude_lorentz")
-    return SweepConfig(
-        label="drude_lorentz",
-        system=system,
-        bath=bath,
-        propagator=QuapiPropagator(kmax=5),
-        dt=grid.dt,
-        n_short=100,
-        t_ref=grid.t_ref,
-        tau_c=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0, 1.5),
-    )
-
-
-def _preset_qd_phonon() -> SweepConfig:
-    system, bath, grid = builtin_model("qd_phonon")
-    return SweepConfig(
-        label="qd_phonon",
-        system=system,
-        bath=bath,
-        propagator=QuapiPropagator(kmax=5),
-        dt=grid.dt,
-        n_short=100,
-        t_ref=grid.t_ref,
-        tau_c=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0, 1.5),
+        n_short=n_short,
+        t_ref=grid.t_ref if t_ref is None else t_ref,
+        tau_c=tau_c,
     )
 
 
@@ -231,9 +218,7 @@ def _preset_lindblad() -> SweepConfig:
 
 
 PRESETS = {
-    "subohmic": _preset_subohmic,
-    "drude_lorentz": _preset_drude_lorentz,
-    "qd_phonon": _preset_qd_phonon,
+    **{name: partial(_preset_spin_boson, name) for name in _SPIN_BOSON_PRESETS},
     "embedding": _preset_embedding,
     "lindblad": _preset_lindblad,
 }
@@ -246,6 +231,14 @@ def preset_config(name: str) -> SweepConfig:
         raise UnknownModel(
             f"no preset named {name!r}; choose from {sorted(PRESETS)}"
         ) from None
+
+
+def _parse_tau_c(text: str) -> tuple[float, ...]:
+    """The comma-separated cutoff list of the config file or of ``--tau-c``."""
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise ConfigError(f"tau_c {text!r} is not a comma-separated list of numbers") from None
 
 
 def _parse_bath(section) -> SpectralDensity:
@@ -348,7 +341,7 @@ def load_config(path_or_preset: str) -> SweepConfig:
 
         ext = parser["extrapolation"] if parser.has_section("extrapolation") else {}
         if "tau_c" in ext:
-            tau_c = tuple(float(x) for x in ext.get("tau_c").split(","))
+            tau_c = _parse_tau_c(ext["tau_c"])
         else:
             tau_c = base.tau_c if base else (1.0,)
         observable = _OBSERVABLES[ext.get("observable", "sigma_z")]

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import (
     BranchAmbiguity,
     DimensionMismatch,
-    NearSingularMap,
     NonDiagonalizable,
     SingularBasis,
 )
@@ -32,10 +31,8 @@ __all__ = [
     "devectorize",
     "from_trajectories",
     "singular_values",
-    "invert",
     "logm",
     "expm",
-    "frobenius_diff",
     "hamiltonian_superop",
     "dissipator_superop",
     "lindblad_generator",
@@ -255,27 +252,6 @@ def singular_values(superop: np.ndarray) -> np.ndarray:
     return np.linalg.svd(np.asarray(superop, dtype=complex), compute_uv=False)
 
 
-def invert(
-    superop: np.ndarray,
-    cond_threshold: float | None = None,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
-) -> np.ndarray:
-    """Exact inverse of a map, guarded against near-singularity.
-
-    Raises :class:`NearSingularMap` when sigma_min/sigma_max falls below
-    ``cond_threshold`` (default from the numerics record).
-    """
-    if cond_threshold is None:
-        cond_threshold = numerics.sv_ratio_min
-    superop = np.asarray(superop, dtype=complex)
-    sv = singular_values(superop)
-    smax = float(sv[0])
-    smin = float(sv[-1])
-    if smax == 0.0 or smin / smax < cond_threshold:
-        raise NearSingularMap(smin, smax)
-    return np.linalg.inv(superop)
-
-
 def logm(
     superop: np.ndarray,
     dt: float,
@@ -351,7 +327,8 @@ def _logm_stack(
 # theta_m on the scaled norm up to which it is accurate to unit roundoff, and
 # the reciprocals 1/c_m of the leading backward-error coefficients (Al-Mohy
 # & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009), Table 3.1 and eq. 5.1).
-# theta_13 = 4.25 is the value scipy.linalg.expm uses for the same algorithm.
+# theta_13 = 4.25 is the bound of the reference implementation the tests
+# compare against.
 _PADE = {
     3: (120.0, 60.0, 12.0, 1.0),
     5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
@@ -393,9 +370,9 @@ def expm(gen: np.ndarray, dt: float) -> np.ndarray:
     """Map over a step of length dt: exp(gen * dt).
 
     Scaling and squaring with the Pade order and scaling chosen as in
-    Al-Mohy & Higham (2009), the algorithm of ``scipy.linalg.expm``: orders
-    3, 5, 7, 9 or 13, picked from exact 1-norms of A^4, A^6, A^8 and A^10
-    (at every size; scipy estimates them from n = 400 on), then one
+    Al-Mohy & Higham (2009): orders 3, 5, 7, 9 or 13, picked from exact
+    1-norms of A^4, A^6, A^8 and A^10 (at every size, where estimates would
+    do for large matrices), then one
     ``np.linalg.solve`` and s squarings. A zero generator takes order 3,
     whose b_0 I solve returns the identity exactly.
     """
@@ -440,11 +417,3 @@ def expm(gen: np.ndarray, dt: float) -> np.ndarray:
         out = out @ out
     return out
 
-
-def frobenius_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of the elementwise difference of two superoperators."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))

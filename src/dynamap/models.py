@@ -1,5 +1,5 @@
-"""Physical model definitions: spin-boson systems, spectral densities,
-bath correlation functions, and damped-mode embeddings.
+"""Physical model definitions: spin-boson systems, spectral densities and
+damped-mode embeddings.
 
 All frequencies and rates are in the model's base inverse-time unit and
 hbar = 1; temperatures are energies in the same unit.
@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NegativeFrequency, QuadratureFailure, TruncationGuard, UnknownModel
+from .errors import NegativeFrequency, TruncationGuard, UnknownModel
 from .maps import (
     PAULI_X,
     PAULI_Z,
@@ -34,7 +34,6 @@ __all__ = [
     "ModelGrid",
     "spectral_density_eval",
     "support_cutoff",
-    "bath_correlation",
     "build_embedding",
     "stationary_state",
     "builtin_model",
@@ -166,16 +165,6 @@ def support_cutoff(sd: SpectralDensity, floor: float = DEFAULT_NUMERICS.support_
     return _support_info(sd, floor)[1]
 
 
-@lru_cache(maxsize=None)
-def _correlation_scale(sd: SpectralDensity) -> float:
-    """Rough magnitude of C(0), used to set absolute quadrature floors."""
-    wmax = support_cutoff(sd)
-    if wmax == 0.0:
-        return 0.0
-    grid = np.linspace(0.0, wmax, 20001)
-    return float(np.trapezoid(sd.profile(grid), grid))
-
-
 def _segments(sd: SpectralDensity, numerics: NumericsConfig) -> np.ndarray:
     """Decade breakpoints anchored at the spectral-density peak, plus the
     nodes of a tabulated density.
@@ -200,62 +189,6 @@ def _segments(sd: SpectralDensity, numerics: NumericsConfig) -> np.ndarray:
         points.extend(w for w in sd.omegas if 0.0 < w < w_max)
     # sorted(set()) rather than np.unique, which imports numpy.ma on first use
     return np.array(sorted(set(points)))
-
-
-def _segmented_quad(f, breakpoints, rtol, scale, **kwargs):
-    """Sum of adaptive quadratures over consecutive breakpoint intervals."""
-    from scipy.integrate import quad
-
-    total = 0.0
-    total_err = 0.0
-    epsabs = max(1e-14, 1e-11 * scale)
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        val, err, *_ = quad(
-            f, a, b, epsabs=epsabs, epsrel=rtol, limit=300, full_output=1, **kwargs
-        )
-        total += val
-        total_err += err
-    if total_err > max(3.0 * rtol * abs(total), 30.0 * epsabs * len(breakpoints)):
-        raise QuadratureFailure(total_err)
-    return total
-
-
-def bath_correlation(
-    sd: SpectralDensity,
-    temperature: float,
-    t: float,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
-) -> complex:
-    """C(t) = int_0^inf dw J(w) [coth(w/2T) cos(wt) - i sin(wt)], t >= 0.
-
-    At T = 0 the coth factor is 1. The imaginary part never depends on the
-    temperature. Integration runs up to the support cutoff of J, decade by
-    decade, with the oscillatory weight handled by dedicated quadrature rules.
-    """
-    if t < 0:
-        raise ValueError("bath correlations are evaluated for t >= 0")
-    breaks = _segments(sd, numerics)
-    if breaks.size < 2:
-        return 0.0 + 0.0j
-    scale = _correlation_scale(sd)
-    rtol = numerics.quad_rtol
-
-    if temperature > 0:
-        def sym_part(w):
-            return float(sd.profile(w)) / np.tanh(w / (2.0 * temperature))
-    else:
-        def sym_part(w):
-            return float(sd.profile(w))
-
-    def plain(w):
-        return float(sd.profile(w))
-
-    if t == 0.0:
-        re = _segmented_quad(sym_part, breaks, rtol, scale)
-        return complex(re, 0.0)
-    re = _segmented_quad(sym_part, breaks, rtol, scale, weight="cos", wvar=t)
-    im = -_segmented_quad(plain, breaks, rtol, scale, weight="sin", wvar=t)
-    return complex(re, im)
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +311,6 @@ class ModelGrid:
 
     dt: float
     t_ref: float
-
-    @property
-    def n_ref(self) -> int:
-        return int(round(self.t_ref / self.dt))
 
 
 BUILTIN_MODELS = ("subohmic", "drude_lorentz", "qd_phonon")

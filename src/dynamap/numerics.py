@@ -27,8 +27,6 @@ class NumericsConfig:
     generator_tp_tol: float = 1e-8
     # canonical-form degeneracy detection
     degenerate_rate_tol: float = 1e-10
-    # time-local map stationarity
-    stationarity_tol: float = 1e-6
     # spectral stability margin for repeated application of a map
     spectral_radius_tol: float = 1e-9
     # bath-correlation quadrature

@@ -82,7 +82,7 @@ def read_tensor_series(path):
     from .ttm import TransferTensorSeries
 
     _dim, dt, _t0, stack = _read_container(path, MAGIC_TTEN)
-    return TransferTensorSeries.from_tensors(dt=dt, tensors=stack)
+    return TransferTensorSeries(dt=dt, tensors=stack)
 
 
 def write_local_series(path, local) -> None:
@@ -94,16 +94,13 @@ def write_local_series(path, local) -> None:
     _write_container(path, MAGIC_LMAP, dim, local.dt, local.t0, local.maps)
 
 
-def read_local_series(path, sv_ratios=None, flagged=None):
+def read_local_series(path, sv_ratios, flagged):
+    """Read the maps of a :class:`~dynamap.timelocal.LocalMapSeries`, with
+    the singularity diagnostics of its ``local_flags.csv`` sidecar."""
     from .timelocal import LocalMapSeries
 
     _dim, dt, t0, stack = _read_container(path, MAGIC_LMAP)
-    n = stack.shape[0]
-    if sv_ratios is None:
-        sv_ratios = np.ones(n)
-    if flagged is None:
-        flagged = np.zeros(n, dtype=bool)
-    return LocalMapSeries(dt=dt, t0=t0, maps=stack, sv_ratios=np.asarray(sv_ratios), flagged=np.asarray(flagged))
+    return LocalMapSeries(dt=dt, t0=t0, maps=stack, sv_ratios=sv_ratios, flagged=flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -126,26 +123,6 @@ def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
-
-
-def write_series_csv(path, series: DynamicalMapSeries) -> None:
-    """Lossless text export: one row per entry, full float precision."""
-    d2 = series.dim**2
-    rows = (
-        (n + 1, row, col, m[row, col].real, m[row, col].imag)
-        for n, m in enumerate(series.maps) for col in range(d2) for row in range(d2)
-    )
-    _write_csv(path, ("n", "row", "col", "re", "im"), rows)
-
-
-def read_series_csv(path, dt: float, t0: float = 0.0) -> DynamicalMapSeries:
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    n_max = int(rows[:, 0].max())
-    d2 = int(rows[:, 1].max()) + 1
-    stack = np.zeros((n_max, d2, d2), dtype=complex)
-    for n, row, col, re, im in rows:
-        stack[int(n) - 1, int(row), int(col)] = re + 1j * im
-    return DynamicalMapSeries(dt=dt, t0=t0, maps=stack)
 
 
 def write_local_flags(path, local) -> None:

@@ -89,7 +89,7 @@ def local_maps(
     ratios[0] = 1.0
     np.divide(sv[:, -1], sv[:, 0], out=ratios[1:], where=sv[:, 0] > 0)
     flags = np.zeros(len(maps), dtype=bool)
-    # a zero map keeps ratio 0 and is flagged even at threshold 0, as `invert` refuses it
+    # a zero map keeps ratio 0 and is flagged even at threshold 0: it has no inverse
     flags[1:] = (ratios[1:] < cond_threshold) | (sv[:, 0] == 0)
     out = np.empty_like(maps)
     out[0] = maps[0]

@@ -31,21 +31,11 @@ class TransferTensorSeries:
 
     dt: float
     tensors: np.ndarray = field(repr=False)
-    norms: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         tensors = np.asarray(self.tensors, dtype=complex).copy()
         tensors.flags.writeable = False
         object.__setattr__(self, "tensors", tensors)
-        norms = np.asarray(self.norms, dtype=float).copy()
-        norms.flags.writeable = False
-        object.__setattr__(self, "norms", norms)
-
-    @classmethod
-    def from_tensors(cls, dt: float, tensors: np.ndarray) -> "TransferTensorSeries":
-        tensors = np.asarray(tensors, dtype=complex)
-        norms = np.linalg.norm(tensors, axis=(1, 2))
-        return cls(dt=dt, tensors=tensors, norms=norms)
 
     def __len__(self) -> int:
         return self.tensors.shape[0]
@@ -57,6 +47,14 @@ class TransferTensorSeries:
     @property
     def times(self) -> np.ndarray:
         return self.dt * np.arange(1, len(self) + 1)
+
+    @property
+    def norms(self) -> np.ndarray:
+        """Frobenius norm of each tensor. numpy sums in memory order, so the
+        squares are summed in one fixed layout, the (row, step, column) one
+        in which :func:`decompose` builds the tensors."""
+        by_row = self.tensors.transpose(1, 0, 2).copy()
+        return np.linalg.norm(by_row.transpose(1, 0, 2), axis=(1, 2))
 
 
 def decompose(series: DynamicalMapSeries) -> TransferTensorSeries:
@@ -73,7 +71,7 @@ def decompose(series: DynamicalMapSeries) -> TransferTensorSeries:
     for n in range(1, n_steps):
         rows[:, n * d2 : (n + 1) * d2] = maps[n] - rows[:, : n * d2] @ past[(n_steps - n) * d2 :]
     tensors = rows.reshape(d2, n_steps, d2).transpose(1, 0, 2)
-    return TransferTensorSeries.from_tensors(dt=series.dt, tensors=tensors)
+    return TransferTensorSeries(dt=series.dt, tensors=tensors)
 
 
 def extrapolate(
@@ -118,4 +116,4 @@ def extrapolate(
 
 def tensor_norm_profile(tensors: TransferTensorSeries) -> tuple[np.ndarray, np.ndarray]:
     """(time, Frobenius norm) pairs for decay diagnostics."""
-    return tensors.times, tensors.norms.copy()
+    return tensors.times, tensors.norms

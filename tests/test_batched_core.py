@@ -2,9 +2,9 @@
 
 The reference functions below are the per-step implementations of
 ``decompose``, ``local_maps``, ``stationarity_profile``, ``extrapolate``,
-``extrapolate_tl`` and ``rate_series`` (with the per-map ``logm`` and
-``canonical_decompose`` it called) that the batched code replaced, kept
-verbatim as oracles. ``local_maps`` and both extrapolators do the same
+``extrapolate_tl`` and ``rate_series`` (with the per-map ``invert``,
+``logm`` and ``canonical_decompose`` they called) that the batched code
+replaced, kept verbatim as oracles. ``local_maps`` and both extrapolators do the same
 arithmetic in the same order and must agree bit for bit; ``decompose``, the
 Frobenius norms and the rates sum in another order and are held to a
 tolerance fixed from double precision. ``rate_series`` must flag exactly the
@@ -19,11 +19,11 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_lindblad_generator
+from conftest import random_hermitian, random_lindblad_generator, semigroup_series
 from dynamap.errors import (
     BranchAmbiguity,
     DegenerateRates,
-    NearSingularMap,
+    DynamapError,
     NonDiagonalizable,
     NotTracePreserving,
     StationaryMapFlagged,
@@ -40,8 +40,6 @@ from dynamap.maps import (
     devectorize,
     expm,
     _logm_stack,
-    frobenius_diff,
-    invert,
     singular_values,
     trace_functional,
     vectorize,
@@ -74,6 +72,39 @@ def decompose_loop(series):
     return tensors
 
 
+class NearSingularMap(DynamapError):
+    """A map was too close to singular to invert reliably.
+
+    Carries the smallest and largest singular value of the offending map.
+    """
+
+    def __init__(self, sigma_min, sigma_max):
+        self.sigma_min = float(sigma_min)
+        self.sigma_max = float(sigma_max)
+        ratio = self.sigma_min / self.sigma_max if self.sigma_max > 0 else 0.0
+        super().__init__(
+            f"map is near-singular: sigma_min/sigma_max = {ratio:.3e} "
+            f"(sigma_min={self.sigma_min:.3e}, sigma_max={self.sigma_max:.3e})"
+        )
+
+
+def invert(superop, cond_threshold=None, numerics=DEFAULT_NUMERICS):
+    """Exact inverse of a map, guarded against near-singularity.
+
+    Raises :class:`NearSingularMap` when sigma_min/sigma_max falls below
+    ``cond_threshold`` (default from the numerics record).
+    """
+    if cond_threshold is None:
+        cond_threshold = numerics.sv_ratio_min
+    superop = np.asarray(superop, dtype=complex)
+    sv = singular_values(superop)
+    smax = float(sv[0])
+    smin = float(sv[-1])
+    if smax == 0.0 or smin / smax < cond_threshold:
+        raise NearSingularMap(smin, smax)
+    return np.linalg.inv(superop)
+
+
 def local_maps_loop(series, cond_threshold=DEFAULT_NUMERICS.sv_ratio_min):
     n_steps = len(series)
     maps = series.maps
@@ -95,7 +126,7 @@ def local_maps_loop(series, cond_threshold=DEFAULT_NUMERICS.sv_ratio_min):
 
 def stationarity_loop(local):
     return np.array(
-        [frobenius_diff(local.maps[n], local.maps[n - 1]) for n in range(1, len(local))]
+        [np.linalg.norm(local.maps[n] - local.maps[n - 1]) for n in range(1, len(local))]
     )
 
 
@@ -328,7 +359,7 @@ def test_decompose_matches_loop_and_reconstructs(series):
     tensors = decompose(series).tensors
     want = decompose_loop(series)
     assert np.max(np.abs(tensors - want)) <= 1e-13
-    norms = TransferTensorSeries.from_tensors(series.dt, want).norms
+    norms = TransferTensorSeries(series.dt, want).norms
     ref_norms = np.array([np.linalg.norm(t) for t in want])
     assert np.all(np.abs(norms - ref_norms) <= 4 * EPS * ref_norms)
     # resumming the recursion gives back every map
@@ -347,7 +378,7 @@ def test_extrapolators_equal_loops(series, state_seed, data):
     total = data.draw(st.integers(0, 3 * n))
     rho = random_state(state_seed, series.dim)
 
-    tensors = TransferTensorSeries.from_tensors(series.dt, decompose_loop(series))
+    tensors = TransferTensorSeries(series.dt, decompose_loop(series))
     ttm_states = extrapolate(tensors, rho, k, total)
     assert np.array_equal(ttm_states, extrapolate_loop(tensors, rho, k, total))
     assert np.all(np.abs(np.trace(ttm_states, axis1=1, axis2=2) - 1.0) <= 1e-10)
@@ -364,6 +395,24 @@ def test_extrapolators_equal_loops(series, state_seed, data):
     # near the flag threshold the 1e-10 bound widens by that amplification
     tol = max(1e-10, 1e3 * EPS / local.sv_ratios[:k].min())
     assert np.all(np.abs(np.trace(tl_states, axis1=1, axis2=2) - 1.0) <= tol)
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]),
+       n_steps=st.integers(1, 24), data=st.data())
+def test_extrapolators_keep_hermitian_states_hermitian(seed, dim, n_steps, data):
+    # a semigroup map preserves Hermiticity, and so must both extrapolations
+    # of its series; rounding stays below 170 eps of the largest initial
+    # entry over 400 random cases and below 200 eps over 2000 steps, so the
+    # bound is hermiticity_tol (1e-12, about 4500 eps) on that scale
+    gen = random_lindblad_generator(np.random.default_rng(seed), dim)
+    series = semigroup_series(gen, 0.1, n_steps)
+    k = data.draw(st.integers(1, n_steps))
+    total = data.draw(st.integers(0, 3 * n_steps))
+    rho = random_hermitian(np.random.default_rng(seed + 1), dim)
+    tol = DEFAULT_NUMERICS.hermiticity_tol * np.max(np.abs(rho))
+    for states in (extrapolate(decompose(series), rho, k, total),
+                   extrapolate_tl(local_maps(series), rho, k, total)):
+        assert np.max(np.abs(states - states.conj().transpose(0, 2, 1))) <= tol
 
 
 # rate_series: the batched log V (log lambda) V^-1 and the one lstsq over all

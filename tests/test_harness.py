@@ -86,6 +86,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             embedding_config(propagator=QuapiPropagator(kmax=3), bath=None)
 
+    @pytest.mark.parametrize("overrides", [
+        {"dt": float("nan")}, {"dt": float("inf")},
+        {"t_ref": float("nan")}, {"t_ref": float("inf")},
+        {"tau_c": (0.5, float("nan"))}, {"tau_c": (-1.0,)}, {"tau_c": (0.0, 1.0)},
+    ], ids=["dt_nan", "dt_inf", "t_ref_nan", "t_ref_inf", "tau_c_nan", "tau_c_negative",
+            "tau_c_zero"])
+    def test_non_finite_or_non_positive_rejected(self, overrides):
+        with pytest.raises(ConfigError):
+            embedding_config(**overrides)
+
+    def test_ini_bad_tau_c_is_config_error(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[system]\npreset = lindblad\n\n[extrapolation]\ntau_c = 1.0,,2.0\n")
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+
     def test_presets_load(self):
         for name in ("subohmic", "drude_lorentz", "qd_phonon", "embedding", "lindblad"):
             config = preset_config(name)
@@ -264,6 +280,17 @@ class TestCli:
         assert len(lines) == 3
         assert lines[1].startswith("1.0,")
         assert lines[2].startswith("3.0,")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tau-c", "0.4,,0.8"), ("--tau-c", "nan"), ("--tau-c", "-1"),
+        ("--t-ref", "nan"), ("--t-ref", "inf"),
+    ])
+    def test_bad_tau_c_or_t_ref_exits_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "bad"
+        code = cli_main(["compare", "--config", "lindblad", "--out", str(out), flag, value])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not (out / "compare.csv").exists()
 
     def test_dump_eta(self, tmp_path):
         ini = tmp_path / "tiny.ini"

@@ -11,7 +11,6 @@ from dynamap import harness
 from dynamap.errors import (
     BranchAmbiguity,
     DimensionMismatch,
-    NearSingularMap,
     NonDiagonalizable,
     SingularBasis,
 )
@@ -19,10 +18,8 @@ from dynamap.maps import (
     DynamicalMapSeries,
     devectorize,
     expm,
-    frobenius_diff,
     from_trajectories,
     hamiltonian_superop,
-    invert,
     is_trace_preserving,
     logm,
     matrix_units,
@@ -30,6 +27,7 @@ from dynamap.maps import (
     trace_functional,
     vectorize,
 )
+from test_batched_core import NearSingularMap, invert
 
 
 class TestVectorize:
@@ -77,7 +75,7 @@ class TestFromTrajectories:
         ]
         series = from_trajectories(basis, trajs, dt=dt)
         for n in range(steps):
-            assert frobenius_diff(series.maps[n], expm(gen, (n + 1) * dt)) < 1e-10
+            assert np.linalg.norm(series.maps[n] - expm(gen, (n + 1) * dt)) < 1e-10
 
     def test_basis_independence(self):
         rng = np.random.default_rng(4)
@@ -96,7 +94,7 @@ class TestFromTrajectories:
         a = run(matrix_units(2))
         b = run(pauli_states)
         for n in range(steps):
-            assert frobenius_diff(a.maps[n], b.maps[n]) < 1e-10
+            assert np.linalg.norm(a.maps[n] - b.maps[n]) < 1e-10
 
     def test_singular_basis_rejected(self):
         basis = matrix_units(2)
@@ -147,6 +145,8 @@ class TestSingularValues:
 
 
 class TestInvert:
+    """The guarded inverse that ``local_maps_loop`` in test_batched_core uses."""
+
     def test_identity(self):
         assert np.allclose(invert(np.eye(4)), np.eye(4))
 
@@ -154,7 +154,7 @@ class TestInvert:
         rng = np.random.default_rng(13)
         gen = random_lindblad_generator(rng)
         fwd = expm(gen, 0.05)
-        assert frobenius_diff(invert(fwd), expm(gen, -0.05)) < 1e-9
+        assert np.linalg.norm(invert(fwd) - expm(gen, -0.05)) < 1e-9
 
     def test_near_singular_raises_with_details(self):
         m = np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex)
@@ -175,7 +175,7 @@ class TestLogmExpm:
             gen = random_lindblad_generator(rng)
             dt = 0.05  # keeps eigenvalue arguments well inside the branch
             rebuilt = logm(expm(gen, dt), dt)
-            assert frobenius_diff(rebuilt, gen) < 1e-8 * max(1.0, np.linalg.norm(gen))
+            assert np.linalg.norm(rebuilt - gen) < 1e-8 * max(1.0, np.linalg.norm(gen))
 
     def test_negative_real_eigenvalue_raises(self):
         with pytest.raises(BranchAmbiguity):
@@ -197,7 +197,7 @@ class TestLogmExpm:
         m[0, 1] = 1.0
         m[1, 1] = 2.0 + 1e-7  # eigenvector condition ~ 1e7: fallback regime
         gen = logm(m, 0.1)
-        assert frobenius_diff(expm(gen, 0.1), m) < 1e-8 * np.linalg.norm(m)
+        assert np.linalg.norm(expm(gen, 0.1) - m) < 1e-8 * np.linalg.norm(m)
 
     def test_expm_zero_generator(self):
         assert np.array_equal(expm(np.zeros((4, 4)), 1.0), np.eye(4))
@@ -212,14 +212,14 @@ class TestLogmExpm:
         gen = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         lhs = expm(gen, 0.3) @ expm(gen, 0.45)
         rhs = expm(gen, 0.75)
-        assert frobenius_diff(lhs, rhs) <= 1e-10 * np.linalg.norm(rhs)
+        assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_round_trip_series(self):
         rng = np.random.default_rng(23)
         for _ in range(5):
             gen = random_lindblad_generator(rng)
             m = expm(gen, 0.08)
-            assert frobenius_diff(expm(logm(m, 0.08), 0.08), m) <= 1e-8 * np.linalg.norm(m)
+            assert np.linalg.norm(expm(logm(m, 0.08), 0.08) - m) <= 1e-8 * np.linalg.norm(m)
 
 
 class TestExpmAgainstScipy:
@@ -263,26 +263,6 @@ class TestExpmAgainstScipy:
         gen = np.diag(-rng.uniform(0.1, 1.0, 6)) + np.triu(rng.normal(size=(6, 6)), 1)
         assert self.rel_err(gen, 0.1) <= 1e-14
         assert self.rel_err(gen, 50.0) <= 1e-12
-
-
-class TestFrobeniusDiff:
-    def test_equal_is_zero(self):
-        m = np.ones((4, 4))
-        assert frobenius_diff(m, m) == 0.0
-
-    def test_identity_vs_zero(self):
-        assert frobenius_diff(np.eye(4), np.zeros((4, 4))) == pytest.approx(2.0)
-
-    def test_matches_elementwise_sum(self):
-        rng = np.random.default_rng(29)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        brute = np.sqrt(sum(abs(a[i, j] - b[i, j]) ** 2 for i in range(4) for j in range(4)))
-        assert abs(frobenius_diff(a, b) - brute) < 1e-14
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            frobenius_diff(np.eye(4), np.eye(9))
 
 
 class TestSeriesType:

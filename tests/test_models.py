@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import SX, SZ
+from conftest import SX, SZ, bath_correlation
 from dynamap.errors import NegativeFrequency, TruncationGuard, UnknownModel
 from dynamap.maps import pauli, vectorize
 from dynamap.models import (
@@ -11,7 +11,6 @@ from dynamap.models import (
     SubOhmicDensity,
     SystemSpec,
     TabulatedDensity,
-    bath_correlation,
     build_embedding,
     builtin_model,
     load_tabulated,

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import exp1, expi
 
-from conftest import EXCITED, SX, SY, SZ
+from conftest import EXCITED, SX, SY, SZ, bath_correlation
 from dynamap.errors import MemoryBudgetExceeded, NonDiagonalizableCoupling, QuadratureFailure
 from dynamap.maps import expm, is_trace_preserving, vectorize, devectorize
 from dynamap.models import (
@@ -18,7 +18,6 @@ from dynamap.models import (
     SystemSpec,
     TabulatedDensity,
     _segments,
-    bath_correlation,
     builtin_model,
 )
 from dynamap.numerics import DEFAULT_NUMERICS, NumericsConfig

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import random_lindblad_generator
 from dynamap.errors import DimensionMismatch
@@ -7,13 +9,11 @@ from dynamap.lindblad import RateSeries
 from dynamap.maps import DynamicalMapSeries, expm
 from dynamap.serialization import (
     read_map_series,
-    read_series_csv,
     read_tensor_series,
     write_local_flags,
     write_local_series,
     write_map_series,
     write_rates_csv,
-    write_series_csv,
     write_tensor_series,
     read_local_series,
 )
@@ -21,8 +21,7 @@ from dynamap.timelocal import local_maps
 from dynamap.ttm import decompose
 
 
-@pytest.fixture
-def series():
+def lindblad_series():
     rng = np.random.default_rng(42)
     maps = []
     acc = np.eye(4, dtype=complex)
@@ -32,14 +31,34 @@ def series():
     return DynamicalMapSeries(dt=0.1, t0=0.25, maps=np.stack(maps))
 
 
+@pytest.fixture
+def series():
+    return lindblad_series()
+
+
+@st.composite
+def map_series_cases(draw):
+    """N >= 1 random complex maps at D = 2 or 3, on any finite grid."""
+    n = draw(st.integers(1, 6))
+    d2 = draw(st.sampled_from([4, 9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    maps = rng.normal(size=(n, d2, d2)) + 1j * rng.normal(size=(n, d2, d2))
+    dt = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    t0 = draw(st.floats(allow_nan=False, allow_infinity=False))
+    return DynamicalMapSeries(dt=dt, t0=t0, maps=maps)
+
+
 class TestBinaryContainer:
-    def test_map_series_round_trip_bit_exact(self, series, tmp_path):
-        path = tmp_path / "maps.dmap"
+    # the round trips run on the fixed Lindblad series and on random ones
+    @given(series=map_series_cases())
+    @example(series=lindblad_series())
+    def test_map_series_round_trip_bit_exact(self, series, tmp_path_factory):
+        path = tmp_path_factory.mktemp("dmap") / "maps.dmap"
         write_map_series(path, series)
         back = read_map_series(path)
         assert back.dt == series.dt
         assert back.t0 == series.t0
-        assert np.array_equal(back.maps, series.maps)
+        assert back.maps.tobytes() == series.maps.tobytes()
 
     def test_header_layout(self, series, tmp_path):
         path = tmp_path / "maps.dmap"
@@ -75,38 +94,32 @@ class TestBinaryContainer:
         with pytest.raises(DimensionMismatch):
             read_map_series(path)
 
-    def test_tensor_series_round_trip(self, series, tmp_path):
+    @given(series=map_series_cases())
+    @example(series=lindblad_series())
+    def test_tensor_series_round_trip(self, series, tmp_path_factory):
         tensors = decompose(series)
-        path = tmp_path / "tensors.tten"
+        path = tmp_path_factory.mktemp("tten") / "tensors.tten"
         write_tensor_series(path, tensors)
         assert path.read_bytes()[:4] == b"TTEN"
         back = read_tensor_series(path)
         assert back.dt == tensors.dt
-        assert np.array_equal(back.tensors, tensors.tensors)
+        assert back.tensors.tobytes() == tensors.tensors.tobytes()
         assert np.allclose(back.norms, tensors.norms)
 
-    def test_local_series_round_trip(self, series, tmp_path):
+    @given(series=map_series_cases())
+    @example(series=lindblad_series())
+    def test_local_series_round_trip(self, series, tmp_path_factory):
         local = local_maps(series)
-        path = tmp_path / "local.lmap"
+        path = tmp_path_factory.mktemp("lmap") / "local.lmap"
         write_local_series(path, local)
         assert path.read_bytes()[:4] == b"LMAP"
         back = read_local_series(path, sv_ratios=local.sv_ratios, flagged=local.flagged)
-        assert np.array_equal(back.maps, local.maps)
+        assert (back.dt, back.t0) == (local.dt, local.t0)
+        assert back.maps.tobytes() == local.maps.tobytes()
         assert np.array_equal(back.flagged, local.flagged)
 
 
 class TestCsv:
-    def test_lossless_round_trip(self, series, tmp_path):
-        path = tmp_path / "maps.csv"
-        write_series_csv(path, series)
-        back = read_series_csv(path, dt=series.dt, t0=series.t0)
-        assert np.array_equal(back.maps, series.maps)
-
-    def test_header_row(self, series, tmp_path):
-        path = tmp_path / "maps.csv"
-        write_series_csv(path, series)
-        assert path.read_text().splitlines()[0] == "n,row,col,re,im"
-
     def test_flags_sidecar(self, series, tmp_path):
         local = local_maps(series)
         path = tmp_path / "flags.csv"

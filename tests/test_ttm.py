@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import EXCITED, SZ, random_lindblad_generator
+from conftest import EXCITED, SZ, random_lindblad_generator, semigroup_series
 from dynamap.errors import CutoffExceedsData
 from dynamap.maps import DynamicalMapSeries, devectorize, expm, vectorize
 from dynamap.ttm import decompose, extrapolate, tensor_norm_profile
-
-
-def semigroup_series(gen, dt, steps):
-    return DynamicalMapSeries(
-        dt=dt, t0=0.0, maps=np.stack([expm(gen, n * dt) for n in range(1, steps + 1)])
-    )
 
 
 def random_tp_series(rng, steps, dt=0.1):

@@ -8,7 +8,7 @@ reference time, recording the error of each against the exact propagation.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -91,6 +91,10 @@ class LindbladPropagator:
     jump: str = "sigma_minus"
     rate: float = 0.5
 
+    def __post_init__(self):
+        if self.jump not in _JUMP_OPS:
+            raise ConfigError(f"jump = {self.jump!r}: expected {sorted(_JUMP_OPS)}")
+
 
 _JUMP_OPS = {
     "sigma_minus": np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
@@ -144,10 +148,16 @@ class SweepConfig:
             raise ConfigError("tau_c list must not be empty")
         if not all(0 < tau < np.inf for tau in self.tau_c):
             raise ConfigError(f"every tau_c must be finite and positive, got {self.tau_c}")
+        for name, t in (("t_ref", self.t_ref), *(("tau_c", tau) for tau in self.tau_c)):
+            steps = t / self.dt
+            if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
+                raise ConfigError(
+                    f"{name} = {t} is not a positive whole number of dt = {self.dt} steps"
+                )
         worst = max(self.tau_c)
         if self.t_ref <= worst:
             raise ConfigError(f"t_ref = {self.t_ref} must exceed max(tau_c) = {worst}")
-        if self.n_short * self.dt < worst - 1e-9:
+        if self.n_short < self.cutoff_steps(worst):
             raise ConfigError(
                 f"data horizon n_short*dt = {self.n_short * self.dt} is shorter "
                 f"than max(tau_c) = {worst}"
@@ -155,12 +165,14 @@ class SweepConfig:
         if isinstance(self.propagator, QuapiPropagator) and self.bath is None:
             raise ConfigError("the path-integral propagator needs a bath")
 
+    # t_ref and every tau_c are whole numbers of steps, checked on construction
+
     @property
     def n_ref(self) -> int:
-        return int(round(self.t_ref / self.dt))
+        return round(self.t_ref / self.dt)
 
     def cutoff_steps(self, tau: float) -> int:
-        return max(1, int(round(tau / self.dt)))
+        return round(tau / self.dt)
 
 
 # The spin-boson presets run the built-in models through the path integral
@@ -191,36 +203,25 @@ def _preset_spin_boson(name: str) -> SweepConfig:
     )
 
 
-def _preset_embedding() -> SweepConfig:
-    system = SystemSpec(h_s=0.5 * pauli("x"), coupling_op=0.5 * pauli("z"))
-    return SweepConfig(
-        label="embedding",
-        system=system,
-        propagator=EmbeddingPropagator(mode_frequency=1.0, coupling=0.4, decay=0.5, n_max=6),
-        dt=0.1,
-        n_short=120,
-        t_ref=200.0,
-        tau_c=(0.5, 1.0, 2.0, 4.0),
-    )
+# The exact-source presets drive H_S = sigma_x/2, coupled by sigma_z/2, at
+# dt = 0.1: name -> (propagator, n_short, t_ref, tau_c).
+_EXACT_PRESETS = {
+    "embedding": (EmbeddingPropagator(mode_frequency=1.0, coupling=0.4, decay=0.5, n_max=6),
+                  120, 200.0, (0.5, 1.0, 2.0, 4.0)),
+    "lindblad": (LindbladPropagator(jump="sigma_minus", rate=0.3), 100, 50.0, (1.0, 2.0, 5.0)),
+}
 
 
-def _preset_lindblad() -> SweepConfig:
+def _preset_exact(name: str) -> SweepConfig:
+    propagator, n_short, t_ref, tau_c = _EXACT_PRESETS[name]
     system = SystemSpec(h_s=0.5 * pauli("x"), coupling_op=0.5 * pauli("z"))
-    return SweepConfig(
-        label="lindblad",
-        system=system,
-        propagator=LindbladPropagator(jump="sigma_minus", rate=0.3),
-        dt=0.1,
-        n_short=100,
-        t_ref=50.0,
-        tau_c=(1.0, 2.0, 5.0),
-    )
+    return SweepConfig(label=name, system=system, propagator=propagator, dt=0.1,
+                       n_short=n_short, t_ref=t_ref, tau_c=tau_c)
 
 
 PRESETS = {
     **{name: partial(_preset_spin_boson, name) for name in _SPIN_BOSON_PRESETS},
-    "embedding": _preset_embedding,
-    "lindblad": _preset_lindblad,
+    **{name: partial(_preset_exact, name) for name in _EXACT_PRESETS},
 }
 
 
@@ -241,36 +242,90 @@ def _parse_tau_c(text: str) -> tuple[float, ...]:
         raise ConfigError(f"tau_c {text!r} is not a comma-separated list of numbers") from None
 
 
-def _parse_bath(section) -> SpectralDensity:
-    kind = section.get("kind", "subohmic")
-    if kind == "subohmic":
-        return SubOhmicDensity(
-            alpha=section.getfloat("alpha"),
-            s=section.getfloat("s"),
-            omega_c=section.getfloat("omega_c"),
-        )
-    if kind == "drude_lorentz":
-        return DrudeLorentzDensity(lam=section.getfloat("lam"), gamma=section.getfloat("gamma"))
-    if kind == "qd_phonon":
-        return QDPhononDensity(
-            c_e=section.getfloat("c_e"),
-            c_h=section.getfloat("c_h"),
-            omega_e=section.getfloat("omega_e"),
-            omega_h=section.getfloat("omega_h"),
-        )
-    if kind == "custom_table":
-        return load_tabulated(section.get("path"))
-    if kind == "none":
+# The record classes that [bath] kind and [propagator] type name; a bath may
+# also be kind = custom_table (a table file at ``path``) or none.
+_BATHS = {"subohmic": SubOhmicDensity, "drude_lorentz": DrudeLorentzDensity,
+          "qd_phonon": QDPhononDensity}
+_PROPAGATORS = {"quapi": QuapiPropagator, "embedding": EmbeddingPropagator,
+                "lindblad": LindbladPropagator}
+# INI text -> value, by a field's annotation (a string, as annotations are
+# postponed); the matrix fields take a name from their own table instead.
+_PARSERS = {"int": int, "float": float, "float | None": float, "str": str,
+            "tuple[float, ...]": _parse_tau_c}
+_NAMED = {"observable": _OBSERVABLES, "initial": _INITIAL_STATES}
+
+
+def _parse(name: str, annotation: str, text: str):
+    """The value of key ``name``, of type ``annotation``, written as ``text``."""
+    choices = _NAMED.get(name)
+    try:
+        return choices[text] if choices else _PARSERS[annotation](text)
+    except (KeyError, ValueError):
+        expected = sorted(choices) if choices else annotation
+        raise ConfigError(f"{name} = {text!r}: expected {expected}") from None
+
+
+def _record(cls, keys, base, where: str, **values):
+    """A ``cls`` record with ``values``, then with each of ``keys`` that names
+    an init field, parsed by the field's annotation. Every other field is
+    ``base``'s when ``base`` is a ``cls``, else the field's default."""
+    init = [f for f in fields(cls) if f.init]
+    for f in init:
+        if f.name in keys and f.name not in values:
+            values[f.name] = _parse(f.name, f.type, keys[f.name])
+    if type(base) is cls:
+        return replace(base, **values)
+    for f in init:
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where} needs key {f.name!r}")
+    return cls(**values)
+
+
+def _read_kind(table, kind_key: str, keys, base, section: str):
+    """The record of an INI section whose ``kind_key`` names its class in
+    ``table``; without that key, a record of the class of ``base``."""
+    kind = keys.get(kind_key)
+    if kind not in table and (kind is not None or base is None):
+        raise ConfigError(f"[{section}] needs key {kind_key!r} from {sorted(table)}, got {kind!r}")
+    return _record(table.get(kind, type(base)), keys, base, f"[{section}]")
+
+
+def _read_bath(keys, base: SpectralDensity | None) -> SpectralDensity | None:
+    if keys.get("kind") == "none":
         return None
-    raise ConfigError(f"unknown bath kind {kind!r}")
+    if keys.get("kind") == "custom_table":
+        if "path" not in keys:
+            raise ConfigError("[bath] kind = custom_table needs key 'path'")
+        return load_tabulated(keys["path"])
+    return _read_kind(_BATHS, "kind", keys, base, "bath")
+
+
+def _read_system(keys, base: SystemSpec | None) -> SystemSpec:
+    """Each of hx, hy, hz (ox, oy, oz) replaces one Pauli component of H_S
+    (of the coupling operator); the others are ``base``'s, else zero."""
+    ops = {}
+    for name, prefix in (("h_s", "h"), ("coupling_op", "o")):
+        if base is not None and not any(prefix + a in keys for a in "xyz"):
+            continue
+        x, y, z = (
+            _parse(prefix + a, "float", keys[prefix + a]) if prefix + a in keys
+            else 0.0 if base is None
+            else float(np.trace(pauli(a) @ getattr(base, name)).real) / 2
+            for a in "xyz"
+        )
+        ops[name] = x * pauli("x") + y * pauli("y") + z * pauli("z")
+    return _record(SystemSpec, keys, base, "[system]", **ops)
 
 
 def load_config(path_or_preset: str) -> SweepConfig:
     """Load a sweep configuration from an INI file or a preset name.
 
     The file uses sections [system], [bath], [grid], [propagator], and
-    [extrapolation]; an optional ``preset`` key in [system] pulls a preset as
-    the base, with explicitly given keys overriding it.
+    [extrapolation]. An optional ``preset`` key in [system] pulls a preset as
+    the base: each given key then replaces exactly one value of the preset,
+    and every value not given is the preset's. Without a preset, a value not
+    given takes its record's default, and a required key that is missing is
+    a :class:`ConfigError`.
     """
     if path_or_preset in PRESETS:
         return preset_config(path_or_preset)
@@ -281,90 +336,25 @@ def load_config(path_or_preset: str) -> SweepConfig:
 
     parser = configparser.ConfigParser()
     parser.read(path)
-
-    base = None
-    if parser.has_option("system", "preset"):
-        base = preset_config(parser.get("system", "preset"))
-
-    def system_from(section):
-        h = (
-            section.getfloat("hx", 0.0) * pauli("x")
-            + section.getfloat("hy", 0.0) * pauli("y")
-            + section.getfloat("hz", 0.0) * pauli("z")
-        )
-        o = (
-            section.getfloat("ox", 0.0) * pauli("x")
-            + section.getfloat("oy", 0.0) * pauli("y")
-            + section.getfloat("oz", 0.0) * pauli("z")
-        )
-        return SystemSpec(h_s=h, coupling_op=o, temperature=section.getfloat("temperature", 0.0))
+    sections = {
+        name: parser[name] if parser.has_section(name) else {}
+        for name in ("system", "bath", "grid", "propagator", "extrapolation")
+    }
+    base = preset_config(sections["system"]["preset"]) if "preset" in sections["system"] else None
 
     try:
-        if base is not None:
-            system = base.system
-            bath = base.bath
-            if parser.has_option("system", "hx") or parser.has_option("system", "ox"):
-                system = system_from(parser["system"])
-            if parser.has_section("bath"):
-                bath = _parse_bath(parser["bath"])
-        else:
-            system = system_from(parser["system"])
-            bath = _parse_bath(parser["bath"]) if parser.has_section("bath") else None
-
-        grid = parser["grid"] if parser.has_section("grid") else {}
-        dt = float(grid.get("dt", base.dt if base else 0.1))
-        n_short = int(grid.get("n_short", base.n_short if base else 100))
-        t_ref = float(grid.get("t_ref", base.t_ref if base else 10.0))
-
-        if parser.has_section("propagator"):
-            psec = parser["propagator"]
-            ptype = psec.get("type", "quapi")
-            if ptype == "quapi":
-                propagator = QuapiPropagator(kmax=psec.getint("kmax", 5))
-            elif ptype == "embedding":
-                propagator = EmbeddingPropagator(
-                    mode_frequency=psec.getfloat("mode_frequency"),
-                    coupling=psec.getfloat("coupling"),
-                    decay=psec.getfloat("decay"),
-                    n_max=psec.getint("n_max"),
-                )
-            elif ptype == "lindblad":
-                propagator = LindbladPropagator(
-                    jump=psec.get("jump", "sigma_minus"), rate=psec.getfloat("rate", 0.5)
-                )
-            else:
-                raise ConfigError(f"unknown propagator type {ptype!r}")
-        elif base is not None:
-            propagator = base.propagator
-        else:
-            raise ConfigError("missing [propagator] section")
-
-        ext = parser["extrapolation"] if parser.has_section("extrapolation") else {}
-        if "tau_c" in ext:
-            tau_c = _parse_tau_c(ext["tau_c"])
-        else:
-            tau_c = base.tau_c if base else (1.0,)
-        observable = _OBSERVABLES[ext.get("observable", "sigma_z")]
-        initial = _INITIAL_STATES[ext.get("initial", "excited")]
-        cond = float(ext["cond_threshold"]) if "cond_threshold" in ext else (
-            base.cond_threshold if base else None
+        system = _read_system(sections["system"], base and base.system)
+        bath = base and base.bath
+        if parser.has_section("bath"):
+            bath = _read_bath(sections["bath"], bath)
+        propagator = _read_kind(
+            _PROPAGATORS, "type", sections["propagator"], base and base.propagator, "propagator"
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid configuration {path_or_preset!r}: {exc}") from exc
-
-    return SweepConfig(
-        label=path.stem,
-        system=system,
-        bath=bath,
-        propagator=propagator,
-        dt=dt,
-        n_short=n_short,
-        t_ref=t_ref,
-        tau_c=tau_c,
-        observable=observable,
-        initial=initial,
-        cond_threshold=cond,
-    )
+    return _record(SweepConfig, {**sections["grid"], **sections["extrapolation"]}, base,
+                   "a config without a preset", label=path.stem, system=system, bath=bath,
+                   propagator=propagator)
 
 
 # ---------------------------------------------------------------------------

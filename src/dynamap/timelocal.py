@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CutoffExceedsData, StationaryMapFlagged
+from .errors import CutoffExceedsData, DimensionMismatch, StationaryMapFlagged
 from .maps import DynamicalMapSeries, singular_values, vectorize
 from .numerics import DEFAULT_NUMERICS, NumericsConfig
 
@@ -52,6 +52,12 @@ class LocalMapSeries:
             arr = np.asarray(getattr(self, name), dtype=dtype).copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        n = len(self.maps)
+        if self.sv_ratios.shape != (n,) or self.flagged.shape != (n,):
+            raise DimensionMismatch(
+                f"{n} maps need as many sv_ratios and flags, got {self.sv_ratios.shape} "
+                f"and {self.flagged.shape}"
+            )
 
     def __len__(self) -> int:
         return self.maps.shape[0]

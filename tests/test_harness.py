@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from dynamap.errors import ConfigError
 from dynamap.harness import (
     EmbeddingPropagator,
     LindbladPropagator,
+    QuapiPropagator,
     SweepConfig,
     exact_reference_state,
     generate_maps,
@@ -22,9 +25,16 @@ from dynamap.harness import (
     run_compare,
     trace_distance,
 )
-from dynamap.models import SubOhmicDensity, SystemSpec
+from dynamap.models import DrudeLorentzDensity, SubOhmicDensity, SystemSpec
 from dynamap.maps import devectorize, expm, lindblad_generator, pauli, vectorize
 from dynamap.propagators import eta_coefficients
+
+
+def child_env(**extra):
+    """The environment of a fresh interpreter that imports this dynamap."""
+    src = str(Path(harness.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def embedding_config(**overrides):
@@ -81,8 +91,6 @@ class TestConfigValidation:
             embedding_config(n_short=30, tau_c=(8.0,))
 
     def test_quapi_needs_bath(self):
-        from dynamap.harness import QuapiPropagator
-
         with pytest.raises(ConfigError):
             embedding_config(propagator=QuapiPropagator(kmax=3), bath=None)
 
@@ -135,6 +143,165 @@ class TestConfigValidation:
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/path.ini")
+
+    @pytest.mark.parametrize("overrides", [
+        {"tau_c": (0.05, 1.0)}, {"tau_c": (0.25,)}, {"t_ref": 100.05}, {"t_ref": -10.0},
+    ], ids=["tau_c_half_step", "tau_c_off_grid", "t_ref_off_grid", "t_ref_negative"])
+    def test_times_off_the_step_grid_rejected(self, overrides):
+        with pytest.raises(ConfigError, match="whole number of dt"):
+            embedding_config(**overrides)
+
+
+def pauli_components(op):
+    """The identity and Pauli components of a 2x2 operator."""
+    return [np.trace(m @ op) / 2 for m in (np.eye(2), pauli("x"), pauli("y"), pauli("z"))]
+
+
+def config_values(config):
+    """Every value of a SweepConfig, with the operators by Pauli components."""
+    h, o = (pauli_components(op) for op in (config.system.h_s, config.system.coupling_op))
+    values = {
+        "h": h, "o": o, "temperature": config.system.temperature,
+        "observable": config.observable.tolist(), "initial": config.initial.tolist(),
+    }
+    for name in ("label", "bath", "propagator", "dt", "n_short", "t_ref", "tau_c",
+                 "cond_threshold"):
+        values[name] = getattr(config, name)
+    return values
+
+
+def write_ini(path, sections):
+    """An INI file of ``{section: {key: value}}``."""
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items()) + "\n"
+        for name, keys in sections.items()
+    ))
+    return str(path)
+
+
+BATH_KEYS = {
+    "subohmic": {"alpha": 0.2, "s": 0.7, "omega_c": 5.0},
+    "drude_lorentz": {"lam": 0.1, "gamma": 1.0},
+    "qd_phonon": {"c_e": 0.1271, "c_h": -0.0635, "omega_e": 2.555, "omega_h": 2.938},
+    "custom_table": {"path": "table.csv"},
+}
+EMBEDDING_KEYS = {"mode_frequency": 1.0, "coupling": 0.4, "decay": 0.5, "n_max": 6}
+
+
+def full_ini(bath_kind="subohmic", propagator=None):
+    """Every section of a config without a preset, each key given."""
+    return {
+        "system": {"hx": 0.5, "oz": 0.5},
+        "bath": {"kind": bath_kind, **BATH_KEYS[bath_kind]},
+        "grid": {"dt": 0.1, "n_short": 20, "t_ref": 5.0},
+        "propagator": dict(propagator or {"type": "quapi", "kmax": 2}),
+        "extrapolation": {"tau_c": "0.5, 1.0"},
+    }
+
+
+def removals():
+    """A config without a preset, less one required key, for each such key."""
+    for kind in BATH_KEYS:
+        for key in ("kind", *BATH_KEYS[kind]):
+            yield pytest.param(full_ini(kind), "bath", key, id=f"{kind}-{key}")
+    embedding = {"type": "embedding", **EMBEDDING_KEYS}
+    for key in embedding:
+        yield pytest.param(full_ini(propagator=embedding), "propagator", key, id=f"embedding-{key}")
+    for section, key in (("grid", "dt"), ("grid", "n_short"), ("grid", "t_ref"),
+                         ("extrapolation", "tau_c")):
+        yield pytest.param(full_ini(), section, key, id=f"{section}-{key}")
+
+
+def overrides():
+    """One override of each preset value that the reader can set, per preset."""
+    for preset in harness.PRESETS:
+        config = preset_config(preset)
+        yield preset, "system", "temperature", 1.0
+        yield preset, "system", "hx", 0.25
+        yield preset, "system", "hz", 0.3
+        yield preset, "system", "oz", 0.25
+        if isinstance(config.bath, DrudeLorentzDensity):
+            yield preset, "bath", "lam", 0.2
+        if isinstance(config.propagator, QuapiPropagator):
+            yield preset, "propagator", "kmax", 3
+        if isinstance(config.propagator, EmbeddingPropagator):
+            yield preset, "propagator", "n_max", 8
+        yield preset, "grid", "dt", config.dt / 2
+
+
+class TestConfigReader:
+    @pytest.mark.parametrize("sections, section, key", removals())
+    def test_missing_required_key_exits_2(self, tmp_path, capsys, sections, section, key):
+        (tmp_path / "table.csv").write_text("0.0,0.0\n1.0,0.1\n")
+        whole = write_ini(tmp_path / "whole.ini", sections)
+        del sections[section][key]
+        ini = write_ini(tmp_path / "less.ini", sections)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.chdir(tmp_path)  # the custom table's path is relative
+            assert isinstance(load_config(whole), SweepConfig)
+            code = cli_main(["singvals", "--config", ini, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, text", [
+        ("system", "hz", "high"), ("system", "temperature", "warm"), ("grid", "n_short", "2.5"),
+        ("propagator", "kmax", "deep"), ("extrapolation", "observable", "sigma_w"),
+        ("extrapolation", "initial", "up"), ("extrapolation", "cond_threshold", "small"),
+    ])
+    def test_malformed_key_exits_2(self, tmp_path, capsys, section, key, text):
+        sections = full_ini()
+        sections[section][key] = text
+        ini = write_ini(tmp_path / "bad.ini", sections)
+        assert cli_main(["singvals", "--config", ini, "--out", str(tmp_path / "out")]) == 2
+        assert f"{key} = {text!r}" in capsys.readouterr().err
+
+    def test_unknown_jump_exits_2(self, tmp_path, capsys):
+        ini = write_ini(tmp_path / "jump.ini", {
+            "system": {"preset": "lindblad"}, "propagator": {"jump": "sigma_w"},
+        })
+        assert cli_main(["singvals", "--config", ini, "--out", str(tmp_path / "out")]) == 2
+        assert "jump = 'sigma_w'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["subohmic", "drude_lorentz", "embedding"])
+    def test_config_files_load_as_their_presets(self, name):
+        root = Path(__file__).resolve().parents[1]
+        loaded = load_config(str(root / "configs" / f"{name}.ini"))
+        preset = preset_config(name)
+        assert config_values(loaded) == config_values(preset)
+        assert harness.maps_key(loaded) == harness.maps_key(preset)
+
+    @pytest.mark.parametrize("preset, section, key, value", overrides())
+    def test_one_override_changes_one_value(self, tmp_path, preset, section, key, value):
+        sections = {"system": {"preset": preset}}
+        sections.setdefault(section, {})[key] = value
+        ini = write_ini(tmp_path / f"{preset}.ini", sections)
+        want = config_values(preset_config(preset))
+        want["label"] = preset
+        axis = {"hx": 1, "hz": 3, "oz": 3}
+        if key in axis:
+            want[key[0]][axis[key]] = value
+        elif section in ("bath", "propagator"):
+            want[section] = replace(want[section], **{key: value})
+        else:
+            want[key] = value
+        assert config_values(load_config(ini)) == want
+
+    def test_partial_preset_overrides(self, tmp_path):
+        def load(sections):
+            return load_config(write_ini(tmp_path / "partial.ini", sections))
+
+        config = load({"system": {"preset": "drude_lorentz"}, "bath": {"lam": 0.2}})
+        assert config.bath == DrudeLorentzDensity(lam=0.2, gamma=1.0)
+        config = load({"system": {"preset": "drude_lorentz", "temperature": 1.0, "hz": 0.3}})
+        assert config.system.temperature == 1.0
+        assert pauli_components(config.system.h_s) == [0.0, 0.5, 0.0, 0.3]
+        config = load({"system": {"preset": "drude_lorentz", "hx": 0.5}})
+        assert pauli_components(config.system.h_s) == [0.0, 0.5, 0.0, -0.5]
+        assert pauli_components(config.system.coupling_op) == [0.0, 0.0, 0.0, 0.5]
+        config = load({"system": {"preset": "embedding"}, "propagator": {"n_max": 8}})
+        assert config.propagator == EmbeddingPropagator(
+            mode_frequency=1.0, coupling=0.4, decay=0.5, n_max=8
+        )
 
 
 class TestSemigroupSource:
@@ -284,6 +451,7 @@ class TestCli:
     @pytest.mark.parametrize("flag, value", [
         ("--tau-c", "0.4,,0.8"), ("--tau-c", "nan"), ("--tau-c", "-1"),
         ("--t-ref", "nan"), ("--t-ref", "inf"),
+        ("--tau-c", "0.01,0.1"), ("--tau-c", "0.15"), ("--t-ref", "50.04"),
     ])
     def test_bad_tau_c_or_t_ref_exits_2(self, tmp_path, capsys, flag, value):
         out = tmp_path / "bad"
@@ -291,6 +459,12 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert not (out / "compare.csv").exists()
+
+    def test_off_grid_t_ref_exits_2(self, tmp_path):
+        # the exact reference would be taken at 5.04, the schemes stop at 5.0
+        code = cli_main(["compare", "--config", "embedding", "--out", str(tmp_path),
+                         "--t-ref", "5.04", "--tau-c", "0.5,4.0"])
+        assert code == 2
 
     def test_dump_eta(self, tmp_path):
         ini = tmp_path / "tiny.ini"
@@ -398,7 +572,9 @@ class TestCli:
             "assert dm.rate_series.__module__ == 'dynamap.lindblad'\n"
             "assert dm.CanonicalForm is sys.modules['dynamap.lindblad'].CanonicalForm\n"
         )
-        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
+        )
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout.splitlines()[-1]) == []
 
@@ -410,7 +586,9 @@ class TestCli:
                 "import json, sys\n" + script + "\n"
                 f"print(json.dumps(sorted(m for m in sys.modules if {condition})))"
             )
-            done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+            done = subprocess.run(
+                [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
+            )
             assert done.returncode == 0, done.stderr
             return json.loads(done.stdout.splitlines()[-1])
 
@@ -473,7 +651,7 @@ class TestCli:
             done = subprocess.run(
                 [sys.executable, "-m", "dynamap", "generate", "--config", str(ini),
                  "--out", str(out)],
-                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                env=child_env(OPENBLAS_NUM_THREADS=threads),
                 capture_output=True, text=True, timeout=300,
             )
             assert done.returncode == 0, done.stderr

@@ -118,6 +118,12 @@ class TestBinaryContainer:
         assert back.maps.tobytes() == local.maps.tobytes()
         assert np.array_equal(back.flagged, local.flagged)
 
+    def test_local_series_needs_one_flag_per_map(self, series, tmp_path):
+        path = tmp_path / "local.lmap"
+        write_local_series(path, local_maps(series))
+        with pytest.raises(DimensionMismatch):
+            read_local_series(path, sv_ratios=[1.0], flagged=[False])
+
 
 class TestCsv:
     def test_flags_sidecar(self, series, tmp_path):

@@ -24,7 +24,6 @@ from .errors import ConfigError, DynamapError, UnknownModel
 from .harness import SweepConfig
 from .lindblad import rate_series
 from .maps import DynamicalMapSeries, singular_values
-from .propagators import InfluenceCoefficients
 from .timelocal import extrapolate_tl, local_maps, stationarity_profile, tl_refusal
 from .ttm import decompose, extrapolate, tensor_norm_profile
 
@@ -58,28 +57,28 @@ def _load_config(args) -> SweepConfig:
 
 
 def _obtain_series(
-    config: SweepConfig, out: Path, coeffs: InfluenceCoefficients | None = None
+    config: SweepConfig, out: Path, source: harness.MapSource | None = None
 ) -> DynamicalMapSeries:
     """The first ``n_short`` maps: those ``generate`` left in ``out`` when
-    its ``maps.key`` matches this config, freshly generated (with ``coeffs``
-    when the caller has them) otherwise."""
+    its ``maps.key`` matches this config, otherwise generated by ``source``,
+    or by a source built here on that miss when the caller has none."""
     cached, key = out / "maps.dmap", out / "maps.key"
     if cached.exists() and key.exists() and key.read_text().strip() == harness.maps_key(config):
         series = serialization.read_map_series(cached)
         if len(series) >= config.n_short:
             return series.head(config.n_short)
-    return harness.generate_maps(config, coeffs=coeffs)
+    return (source or harness.map_source(config)).maps(config.n_short)
 
 
 def _cmd_generate(config: SweepConfig, out: Path, args) -> int:
-    coeffs = harness.influence_coefficients(config) if args.dump_eta else None
-    series = harness.generate_maps(config, coeffs=coeffs)
+    source = harness.map_source(config)
+    series = source.maps(config.n_short)
     key = out / "maps.key"
     key.unlink(missing_ok=True)  # a stale key must not vouch for the new maps
     serialization.write_map_series(out / "maps.dmap", series)
     key.write_text(harness.maps_key(config) + "\n")
-    if coeffs is not None:
-        serialization.write_eta_csv(out / "eta.csv", coeffs)
+    if args.dump_eta and source.coeffs is not None:
+        serialization.write_eta_csv(out / "eta.csv", source.coeffs)
     return 0
 
 
@@ -133,10 +132,10 @@ def _cmd_singvals(config: SweepConfig, out: Path, args) -> int:
 
 
 def _cmd_compare(config: SweepConfig, out: Path, args) -> int:
-    coeffs = harness.influence_coefficients(config)
-    series = _obtain_series(config, out, coeffs)
-    exact_state = harness.exact_reference_state(config, coeffs)
-    result = harness.compare_series(series, exact_state, config)
+    source = harness.map_source(config)
+    # the reference state first, so that its scratch is freed before the maps are held
+    exact_state = source.state(config.initial, config.n_ref)
+    result = harness.compare_series(_obtain_series(config, out, source), exact_state, config)
     serialization.write_compare_csv(out / "compare.csv", result)
     serialization.write_profile_csv(
         out / "stationarity.csv", *result.stationarity, "map_difference"

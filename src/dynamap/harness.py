@@ -8,6 +8,7 @@ reference time, recording the error of each against the exact propagation.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -55,9 +56,8 @@ __all__ = [
     "CompareResult",
     "observable_series",
     "trace_distance",
-    "generate_maps",
-    "exact_reference_state",
-    "influence_coefficients",
+    "MapSource",
+    "map_source",
     "maps_key",
     "run_compare",
     "compare_series",
@@ -71,9 +71,14 @@ __all__ = [
 # configuration
 # ---------------------------------------------------------------------------
 
+# Out-of-range values are configuration errors (``not x >= 0`` refuses NaN)
 @dataclass(frozen=True)
 class QuapiPropagator:
     kmax: int = 5
+
+    def __post_init__(self):
+        if not self.kmax >= 1:
+            raise ConfigError(f"kmax = {self.kmax} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -82,6 +87,12 @@ class EmbeddingPropagator:
     coupling: float
     decay: float
     n_max: int
+
+    def __post_init__(self):
+        if not self.decay >= 0:
+            raise ConfigError(f"decay = {self.decay} must be non-negative")
+        if not self.n_max >= 1:
+            raise ConfigError(f"n_max = {self.n_max} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -94,6 +105,8 @@ class LindbladPropagator:
     def __post_init__(self):
         if self.jump not in _JUMP_OPS:
             raise ConfigError(f"jump = {self.jump!r}: expected {sorted(_JUMP_OPS)}")
+        if not self.rate >= 0:
+            raise ConfigError(f"rate = {self.rate} must be non-negative")
 
 
 _JUMP_OPS = {
@@ -265,19 +278,29 @@ def _parse(name: str, annotation: str, text: str):
         raise ConfigError(f"{name} = {text!r}: expected {expected}") from None
 
 
-def _record(cls, keys, base, where: str, **values):
-    """A ``cls`` record with ``values``, then with each of ``keys`` that names
-    an init field, parsed by the field's annotation. Every other field is
-    ``base``'s when ``base`` is a ``cls``, else the field's default."""
-    init = [f for f in fields(cls) if f.init]
-    for f in init:
-        if f.name in keys and f.name not in values:
-            values[f.name] = _parse(f.name, f.type, keys[f.name])
+def _refuse_unknown(section: str, keys, known) -> None:
+    """ConfigError naming the first key of INI ``section`` not in ``known``."""
+    for key in keys:
+        if key not in known:
+            raise ConfigError(f"[{section}] has no key {key!r}; expected one of {sorted(known)}")
+
+
+def _record(cls, sections, base, where: str, known=(), **values):
+    """A ``cls`` record with ``values``, then with each key of ``sections``
+    (INI section name -> keys) that names an init field, parsed by the
+    field's annotation; a key that is neither such a field nor in ``known``
+    is a :class:`ConfigError`. Every other field is ``base``'s when ``base``
+    is a ``cls``, else the field's default."""
+    init = {f.name: f for f in fields(cls) if f.init and f.name not in values}
+    for section, keys in sections.items():
+        _refuse_unknown(section, keys, {*init, *known})
+        values.update((key, _parse(key, init[key].type, text))
+                      for key, text in keys.items() if key in init)
     if type(base) is cls:
         return replace(base, **values)
-    for f in init:
-        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"{where} needs key {f.name!r}")
+    for name, f in init.items():
+        if name not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where} needs key {name!r}")
     return cls(**values)
 
 
@@ -287,13 +310,16 @@ def _read_kind(table, kind_key: str, keys, base, section: str):
     kind = keys.get(kind_key)
     if kind not in table and (kind is not None or base is None):
         raise ConfigError(f"[{section}] needs key {kind_key!r} from {sorted(table)}, got {kind!r}")
-    return _record(table.get(kind, type(base)), keys, base, f"[{section}]")
+    return _record(table.get(kind, type(base)), {section: keys}, base, f"[{section}]",
+                   known={kind_key})
 
 
 def _read_bath(keys, base: SpectralDensity | None) -> SpectralDensity | None:
     if keys.get("kind") == "none":
+        _refuse_unknown("bath", keys, {"kind"})
         return None
     if keys.get("kind") == "custom_table":
+        _refuse_unknown("bath", keys, {"kind", "path"})
         if "path" not in keys:
             raise ConfigError("[bath] kind = custom_table needs key 'path'")
         return load_tabulated(keys["path"])
@@ -314,18 +340,23 @@ def _read_system(keys, base: SystemSpec | None) -> SystemSpec:
             for a in "xyz"
         )
         ops[name] = x * pauli("x") + y * pauli("y") + z * pauli("z")
-    return _record(SystemSpec, keys, base, "[system]", **ops)
+    return _record(SystemSpec, {"system": keys}, base, "[system]",
+                   known={"preset", *(p + a for p in "ho" for a in "xyz")}, **ops)
+
+
+_SECTIONS = ("system", "bath", "grid", "propagator", "extrapolation")
 
 
 def load_config(path_or_preset: str) -> SweepConfig:
     """Load a sweep configuration from an INI file or a preset name.
 
     The file uses sections [system], [bath], [grid], [propagator], and
-    [extrapolation]. An optional ``preset`` key in [system] pulls a preset as
-    the base: each given key then replaces exactly one value of the preset,
-    and every value not given is the preset's. Without a preset, a value not
-    given takes its record's default, and a required key that is missing is
-    a :class:`ConfigError`.
+    [extrapolation]; any other section, and any key that no record reads, is
+    a :class:`ConfigError`. An optional ``preset`` key in [system] pulls a
+    preset as the base: each given key then replaces exactly one value of
+    the preset, and every value not given is the preset's. Without a preset,
+    a value not given takes its record's default, and a required key that is
+    missing is a :class:`ConfigError`.
     """
     if path_or_preset in PRESETS:
         return preset_config(path_or_preset)
@@ -336,10 +367,10 @@ def load_config(path_or_preset: str) -> SweepConfig:
 
     parser = configparser.ConfigParser()
     parser.read(path)
-    sections = {
-        name: parser[name] if parser.has_section(name) else {}
-        for name in ("system", "bath", "grid", "propagator", "extrapolation")
-    }
+    unknown = [name for name in parser.sections() if name not in _SECTIONS]
+    if unknown:
+        raise ConfigError(f"{path_or_preset!r} has section [{unknown[0]}]; expected {_SECTIONS}")
+    sections = {name: parser[name] if parser.has_section(name) else {} for name in _SECTIONS}
     base = preset_config(sections["system"]["preset"]) if "preset" in sections["system"] else None
 
     try:
@@ -352,9 +383,9 @@ def load_config(path_or_preset: str) -> SweepConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"invalid configuration {path_or_preset!r}: {exc}") from exc
-    return _record(SweepConfig, {**sections["grid"], **sections["extrapolation"]}, base,
-                   "a config without a preset", label=path.stem, system=system, bath=bath,
-                   propagator=propagator)
+    return _record(SweepConfig, {name: sections[name] for name in ("grid", "extrapolation")},
+                   base, "a config without a preset", label=path.stem, system=system,
+                   bath=bath, propagator=propagator)
 
 
 # ---------------------------------------------------------------------------
@@ -392,70 +423,41 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# map generation and exact references
+# map sources
 # ---------------------------------------------------------------------------
 
-def _exact_embedding(config: SweepConfig) -> Embedding | None:
-    """The one place that tells map sources apart: the embedding of an exact
-    source (the semigroup one has no mode), or None for the path integral."""
-    prop = config.propagator
+@dataclass(frozen=True)
+class MapSource:
+    """A config's maps, ``maps(n)`` = E(t_1, 0)..E(t_n, 0), and its exact
+    states, ``state(rho0, n)`` = E(t_n, 0) rho0 without a map series;
+    ``coeffs`` are the path integral's influence coefficients, else None."""
+
+    maps: Callable[[int], DynamicalMapSeries]
+    state: Callable[[np.ndarray, int], np.ndarray]
+    coeffs: InfluenceCoefficients | None = None
+
+
+def map_source(config: SweepConfig) -> MapSource:
+    """The source of ``config``'s maps, the one place that tells sources
+    apart: the path integral's ``state`` propagates the initial state alone
+    (``quapi_state``), the exact sources exponentiate to n dt. It looks the
+    propagators up in this module on each call, so a wrapper set in their
+    place (``perfbench/tracer.py``) sees every use."""
+    prop, system = config.propagator, config.system
+    if isinstance(prop, QuapiPropagator):
+        coeffs = eta_coefficients(config.bath, system.temperature, config.dt, prop.kmax)
+        return MapSource(partial(quapi_propagate, system, coeffs),
+                         partial(quapi_state, system, coeffs), coeffs)
     if isinstance(prop, EmbeddingPropagator):
         # the propagator holds exactly the mode parameters of the spec
-        return build_embedding(EmbeddingSpec(system=config.system, **asdict(prop)))
-    if isinstance(prop, LindbladPropagator):
-        d = config.system.dim
-        identity = np.eye(d * d, dtype=complex)
-        generator = lindblad_generator(config.system.h_s, [_JUMP_OPS[prop.jump]], [prop.rate])
-        return Embedding(
-            generator=generator, embed=identity, project=identity, system_dim=d, mode_dim=1
-        )
-    return None
-
-
-def influence_coefficients(config: SweepConfig) -> InfluenceCoefficients | None:
-    """The path-integral influence coefficients of ``config``, or None for
-    the exact sources, which need none."""
-    if _exact_embedding(config) is not None:
-        return None
-    return eta_coefficients(
-        config.bath, config.system.temperature, config.dt, config.propagator.kmax
-    )
-
-
-def generate_maps(
-    config: SweepConfig, coeffs: InfluenceCoefficients | None = None
-) -> DynamicalMapSeries:
-    """The ``n_short`` short-time cumulative maps of the configured propagator.
-
-    ``coeffs`` are the path-integral influence coefficients when the caller
-    already has them; otherwise a path-integral propagator computes them.
-    """
-    emb = _exact_embedding(config)
-    if emb is not None:
-        return embedding_propagate(emb, config.dt, config.n_short)
-    if coeffs is None:
-        coeffs = influence_coefficients(config)
-    return quapi_propagate(config.system, coeffs, config.n_short)
-
-
-def exact_reference_state(
-    config: SweepConfig, coeffs: InfluenceCoefficients | None = None
-) -> np.ndarray:
-    """State at t_ref from the same source that produces the maps, without
-    any map series.
-
-    For the embedding and semigroup sources this is a direct matrix
-    exponential. For the path-integral source it is the initial state
-    propagated n_ref steps by :func:`~dynamap.propagators.quapi_state`, with
-    ``coeffs`` when the caller already has them; it equals the map at step
-    n_ref applied to the initial state.
-    """
-    emb = _exact_embedding(config)
-    if emb is not None:
-        return embedding_state(emb, config.initial, config.t_ref)
-    if coeffs is None:
-        coeffs = influence_coefficients(config)
-    return quapi_state(config.system, coeffs, config.initial, config.n_ref)
+        emb = build_embedding(EmbeddingSpec(system=system, **asdict(prop)))
+    else:
+        identity = np.eye(system.dim**2, dtype=complex)
+        generator = lindblad_generator(system.h_s, [_JUMP_OPS[prop.jump]], [prop.rate])
+        emb = Embedding(generator=generator, embed=identity, project=identity,
+                        system_dim=system.dim, mode_dim=1)
+    return MapSource(partial(embedding_propagate, emb, config.dt),
+                     lambda rho0, n: embedding_state(emb, rho0, n * config.dt))
 
 
 def maps_key(config: SweepConfig) -> str:
@@ -558,10 +560,8 @@ def compare_series(
 
 
 def run_compare(config: SweepConfig, numerics: NumericsConfig = DEFAULT_NUMERICS) -> CompareResult:
-    """Generate the short-time maps for the configured model, propagate the
-    reference state, and run the full comparison; the influence coefficients
-    of a path-integral source are computed once for both."""
-    coeffs = influence_coefficients(config)
-    series = generate_maps(config, coeffs=coeffs)
-    exact_state = exact_reference_state(config, coeffs)
-    return compare_series(series, exact_state, config, numerics=numerics)
+    """Propagate the source's reference state to n_ref before its maps are
+    held, so that the two peaks do not add, then run the full comparison."""
+    source = map_source(config)
+    exact_state = source.state(config.initial, config.n_ref)
+    return compare_series(source.maps(config.n_short), exact_state, config, numerics=numerics)

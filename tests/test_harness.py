@@ -17,9 +17,8 @@ from dynamap.harness import (
     LindbladPropagator,
     QuapiPropagator,
     SweepConfig,
-    exact_reference_state,
-    generate_maps,
     load_config,
+    map_source,
     observable_series,
     preset_config,
     run_compare,
@@ -262,6 +261,54 @@ class TestConfigReader:
         assert cli_main(["singvals", "--config", ini, "--out", str(tmp_path / "out")]) == 2
         assert "jump = 'sigma_w'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("preset, key, text", [
+        ("drude_lorentz", "kmax", "0"), ("embedding", "n_max", "0"),
+        ("lindblad", "rate", "-1"), ("embedding", "decay", "-0.5"), ("lindblad", "rate", "nan"),
+    ])
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, preset, key, text):
+        ini = write_ini(tmp_path / "range.ini", {
+            "system": {"preset": preset}, "propagator": {key: text},
+        })
+        assert cli_main(["singvals", "--config", ini, "--out", str(tmp_path / "out")]) == 2
+        assert f"{key} = " in capsys.readouterr().err
+        assert not (tmp_path / "out" / "singvals.csv").exists()
+
+    @pytest.mark.parametrize("section, key, bath_kind", [
+        ("grid", "n_sohrt", "drude_lorentz"), ("grid", "label", "drude_lorentz"),
+        ("system", "lam", "drude_lorentz"), ("bath", "lamda", "drude_lorentz"),
+        ("bath", "lam", "none"), ("bath", "lam", "custom_table"),
+        ("propagator", "kmx", "drude_lorentz"), ("extrapolation", "tauc", "drude_lorentz"),
+    ])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, section, key, bath_kind):
+        sections = {"system": {"preset": "drude_lorentz"}, "bath": {"kind": bath_kind},
+                    "propagator": {"type": "quapi"}}
+        if bath_kind == "custom_table":
+            sections["bath"]["path"] = "table.csv"
+        sections.setdefault(section, {})[key] = 1
+        ini = write_ini(tmp_path / "typo.ini", sections)
+        assert cli_main(["singvals", "--config", ini, "--out", str(tmp_path / "out")]) == 2
+        assert f"[{section}] has no key {key!r}" in capsys.readouterr().err
+
+    def test_unknown_section_exits_2(self, tmp_path, capsys):
+        ini = write_ini(tmp_path / "gird.ini", {
+            "system": {"preset": "lindblad"}, "gird": {"n_short": 5},
+        })
+        assert cli_main(["singvals", "--config", ini, "--out", str(tmp_path / "out")]) == 2
+        assert "section [gird]" in capsys.readouterr().err
+
+    def test_perfbench_configs_load_as_their_overrides(self):
+        configs = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+        pipeline = load_config(str(configs / "embedding_pipeline.ini"))
+        assert config_values(pipeline) == config_values(replace(
+            preset_config("embedding"), label="embedding_pipeline", n_short=1000, t_ref=400.0,
+            tau_c=(0.5, 1.0, 2.0, 4.0, 8.0, 16.0),
+        ))
+        deep = load_config(str(configs / "quapi_deep_memory.ini"))
+        assert config_values(deep) == config_values(replace(
+            preset_config("qd_phonon"), label="quapi_deep_memory", n_short=150, t_ref=10.0,
+            propagator=QuapiPropagator(kmax=8),
+        ))
+
     @pytest.mark.parametrize("name", ["subohmic", "drude_lorentz", "embedding"])
     def test_config_files_load_as_their_presets(self, name):
         root = Path(__file__).resolve().parents[1]
@@ -318,10 +365,26 @@ class TestSemigroupSource:
         for _ in range(config.n_short):
             acc = one_step @ acc
             reference.append(acc)
-        series = generate_maps(config)
-        assert np.array_equal(series.maps, np.stack(reference))
+        source = map_source(config)
+        assert np.array_equal(source.maps(config.n_short).maps, np.stack(reference))
         exact = devectorize(expm(gen, config.t_ref) @ vectorize(config.initial))
-        assert np.array_equal(exact_reference_state(config), exact)
+        assert np.array_equal(source.state(config.initial, config.n_ref), exact)
+
+
+class TestMapSource:
+    @pytest.mark.parametrize("name", sorted(harness.PRESETS))
+    def test_state_is_last_map_applied(self, name):
+        # the path integral carries the state through the maps' recursion;
+        # the exact sources exponentiate to n dt instead of powering one step
+        config = preset_config(name)
+        source = map_source(config)
+        n = config.n_short
+        want = devectorize(source.maps(n).maps[n - 1] @ vectorize(config.initial))
+        got = source.state(config.initial, n)
+        if source.coeffs is None:
+            assert np.max(np.abs(got - want)) <= 1e-13
+        else:
+            assert np.array_equal(got, want)
 
 
 class TestRunCompare:
@@ -517,13 +580,13 @@ class TestCli:
     def test_cached_maps_reused_only_with_key(self, tmp_path, monkeypatch):
         out = tmp_path / "cache"
         calls = []
-        real = harness.generate_maps
+        real = harness.embedding_propagate
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "generate_maps", counted)
+        monkeypatch.setattr(harness, "embedding_propagate", counted)
         assert cli_main(["generate", "--config", "lindblad", "--out", str(out)]) == 0
         assert cli_main(["ttm", "--config", "lindblad", "--out", str(out)]) == 0
         assert len(calls) == 1
@@ -544,21 +607,35 @@ class TestCli:
         )
         out = tmp_path / "cache"
         calls = []
-        real = harness.quapi_propagate
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counting(name):
+            real = getattr(harness, name)
 
-        monkeypatch.setattr(harness, "quapi_propagate", counted)
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return counted
+
+        for name in ("quapi_propagate", "eta_coefficients"):
+            monkeypatch.setattr(harness, name, counting(name))
+
+        def counts():
+            return calls.count("quapi_propagate"), calls.count("eta_coefficients")
+
         assert cli_main(["generate", "--config", str(ini), "--out", str(out)]) == 0
-        assert len(calls) == 1
+        assert counts() == (1, 1)
+        # the generated maps carry all that ttm and tl read: no eta is computed
+        for command in ("ttm", "tl"):
+            assert cli_main([command, "--config", str(ini), "--out", str(out)]) == 0
+        assert counts() == (1, 1)
+        # compare's reference state needs eta, not the maps
         assert cli_main(["compare", "--config", str(ini), "--out", str(out)]) == 0
-        assert len(calls) == 1
+        assert counts() == (1, 2)
         cached = (out / "compare.csv").read_text()
         fresh = tmp_path / "fresh"
         assert cli_main(["compare", "--config", str(ini), "--out", str(fresh)]) == 0
-        assert len(calls) == 2
+        assert counts() == (2, 3)
         assert (fresh / "compare.csv").read_text() == cached
 
     def test_load_config_loads_no_unused_modules(self):
@@ -657,3 +734,40 @@ class TestCli:
             assert done.returncode == 0, done.stderr
             written.append((out / "maps.dmap").read_bytes())
         assert written[0] == written[1]
+
+
+class TestTracer:
+    """``perfbench/tracer.py`` wraps each layer function where a package
+    module binds it; a source that kept them in a table built at import
+    would drop their spans and counts."""
+
+    SHARED = {"harness.load_config", "ttm.decompose", "ttm.extrapolate", "timelocal.local_maps",
+              "timelocal.stationarity_profile", "timelocal.extrapolate_tl",
+              "maps.singular_values", "serialization"}
+
+    def spans(self, tmp_path, config):
+        root = Path(__file__).resolve().parents[1]
+        record = tmp_path / "spans.json"
+        done = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "tracer.py"), str(record), "compare",
+             "--config", config, "--out", str(tmp_path / "out")],
+            env=child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        return json.loads(record.read_text())["spans"]
+
+    def test_embedding_layers_traced(self, tmp_path):
+        names = {span["name"] for span in self.spans(tmp_path, "lindblad")}
+        assert names == self.SHARED | {"propagators.embedding_propagate"}
+
+    def test_path_integral_layers_traced(self, tmp_path):
+        ini = tmp_path / "quapi.ini"
+        ini.write_text("[system]\npreset = qd_phonon\n\n[grid]\nn_short = 40\nt_ref = 4.0\n\n"
+                       "[propagator]\nkmax = 2\n\n[extrapolation]\ntau_c = 0.5, 1.0\n")
+        spans = self.spans(tmp_path, str(ini))
+        names = {span["name"] for span in spans}
+        assert names == self.SHARED | {"propagators.eta_coefficients",
+                                       "propagators.quapi_propagate"}
+        (quapi,) = (span for span in spans if span["name"] == "propagators.quapi_propagate")
+        assert quapi["counts"] == {"steps": 40, "peak_entries": 4 ** 4}
+

@@ -239,7 +239,7 @@ class TestExpmAgainstScipy:
     @pytest.mark.parametrize("name", ["embedding", PIPELINE, "lindblad"])
     def test_source_generators(self, name):
         config = harness.load_config(name)
-        gen = harness._exact_embedding(config).generator
+        gen = harness.map_source(config).maps.args[0].generator  # the embedding
         assert self.rel_err(gen, config.dt) <= 1e-14
         assert self.rel_err(gen, config.t_ref) <= 1e-12
         if gen.shape == (196, 196):

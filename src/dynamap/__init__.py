@@ -56,7 +56,6 @@ from .models import (
     builtin_model,
     spectral_density_eval,
 )
-from .numerics import DEFAULT_NUMERICS, NumericsConfig
 from .propagators import (
     InfluenceCoefficients,
     embedding_propagate,

@@ -35,7 +35,6 @@ from .models import (
     builtin_model,
     load_tabulated,
 )
-from .numerics import DEFAULT_NUMERICS, NumericsConfig
 from .propagators import (
     InfluenceCoefficients,
     embedding_propagate,
@@ -177,6 +176,8 @@ class SweepConfig:
             )
         if isinstance(self.propagator, QuapiPropagator) and self.bath is None:
             raise ConfigError("the path-integral propagator needs a bath")
+        if self.cond_threshold is not None and not 0 <= self.cond_threshold <= 1:
+            raise ConfigError(f"cond_threshold = {self.cond_threshold} must lie in [0, 1]")
 
     # t_ref and every tau_c are whole numbers of steps, checked on construction
 
@@ -365,9 +366,15 @@ def load_config(path_or_preset: str) -> SweepConfig:
         raise ConfigError(f"config file {path_or_preset!r} not found")
     import configparser
 
-    parser = configparser.ConfigParser()
-    parser.read(path)
-    unknown = [name for name in parser.sections() if name not in _SECTIONS]
+    # no interpolation: a '%' in a value reaches the key's own parser
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read(path_or_preset)
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from exc
+    # configparser copies [DEFAULT] into every section, so name it before any key check
+    named = [parser.default_section] if parser.defaults() else []
+    unknown = [name for name in named + parser.sections() if name not in _SECTIONS]
     if unknown:
         raise ConfigError(f"{path_or_preset!r} has section [{unknown[0]}]; expected {_SECTIONS}")
     sections = {name: parser[name] if parser.has_section(name) else {} for name in _SECTIONS}
@@ -463,13 +470,12 @@ def map_source(config: SweepConfig) -> MapSource:
 def maps_key(config: SweepConfig) -> str:
     """sha256 hex digest of everything that shapes the generated maps: the
     system operators (as raw bytes, since the numpy repr of an array is not
-    lossless), temperature, bath, propagator, dt and the default numerics."""
+    lossless), temperature, bath, propagator and dt."""
     import hashlib
 
     system = config.system
     digest = hashlib.sha256(system.h_s.tobytes() + system.coupling_op.tobytes())
-    for part in (system.h_s.shape, system.temperature, config.bath, config.propagator,
-                 config.dt, DEFAULT_NUMERICS):
+    for part in (system.h_s.shape, system.temperature, config.bath, config.propagator, config.dt):
         digest.update(f"{part!r}\n".encode())
     return digest.hexdigest()
 
@@ -533,7 +539,6 @@ def compare_series(
     series: DynamicalMapSeries,
     exact_state: np.ndarray,
     config: SweepConfig,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
 ) -> CompareResult:
     """Run both extrapolation schemes from shared short-time maps.
 
@@ -542,7 +547,7 @@ def compare_series(
     """
     short = series.head(min(config.n_short, len(series)))
     tensors = decompose(short)
-    local = local_maps(short, cond_threshold=config.cond_threshold, numerics=numerics)
+    local = local_maps(short, cond_threshold=config.cond_threshold)
     exact_val = _expectation(exact_state, config.observable)
 
     rows = sorted(
@@ -559,9 +564,9 @@ def compare_series(
     )
 
 
-def run_compare(config: SweepConfig, numerics: NumericsConfig = DEFAULT_NUMERICS) -> CompareResult:
+def run_compare(config: SweepConfig) -> CompareResult:
     """Propagate the source's reference state to n_ref before its maps are
     held, so that the two peaks do not add, then run the full comparison."""
     source = map_source(config)
     exact_state = source.state(config.initial, config.n_ref)
-    return compare_series(source.maps(config.n_short), exact_state, config, numerics=numerics)
+    return compare_series(source.maps(config.n_short), exact_state, config)

@@ -31,7 +31,6 @@ from .maps import (
     hamiltonian_superop,
     trace_functional,
 )
-from .numerics import DEFAULT_NUMERICS, NumericsConfig
 from .timelocal import LocalMapSeries
 
 __all__ = [
@@ -42,6 +41,11 @@ __all__ = [
     "reassemble",
     "rate_series",
 ]
+
+#: trace-preservation residual allowed for a generator, relative to max(1, its norm)
+GENERATOR_TP_TOL = 1e-8
+#: canonical rates closer than this count as degenerate
+DEGENERATE_RATE_TOL = 1e-10
 
 
 def gell_mann_basis(dim: int) -> list[np.ndarray]:
@@ -117,10 +121,7 @@ def _canonical_design(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return arrays
 
 
-def canonical_decompose(
-    gen: np.ndarray,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
-) -> CanonicalForm:
+def canonical_decompose(gen: np.ndarray) -> CanonicalForm:
     """Extract the canonical form from a trace-preserving generator.
 
     The parameter-to-generator map is linear, so the Hamiltonian coefficients
@@ -133,7 +134,7 @@ def canonical_decompose(
     :func:`_canonical_stack` on a stack of one generator.
     """
     h_eff, rates, ops, degenerate, failures = _canonical_stack(
-        np.asarray(gen, dtype=complex)[None], numerics
+        np.asarray(gen, dtype=complex)[None]
     )
     if failures:
         raise failures[0]
@@ -149,7 +150,6 @@ def canonical_decompose(
 
 def _canonical_stack(
     gens: np.ndarray,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[int, Exception]]:
     """Canonical forms of a stack of generators, in one batched pass.
 
@@ -163,7 +163,7 @@ def _canonical_stack(
     n, d2, _ = gens.shape
     dim = int(round(np.sqrt(d2)))
     residual = np.max(np.abs(trace_functional(dim) @ gens), axis=1)
-    limit = numerics.generator_tp_tol * np.maximum(1.0, np.linalg.norm(gens, axis=(1, 2)))
+    limit = GENERATOR_TP_TOL * np.maximum(1.0, np.linalg.norm(gens, axis=(1, 2)))
     failures: dict[int, Exception] = {
         i: NotTracePreserving(
             f"trace functional residual {residual[i]:.3e} exceeds tolerance {limit[i]:.3e}"
@@ -188,7 +188,7 @@ def _canonical_stack(
     raw_rates, vecs = np.linalg.eigh(coeff)
     gaps = np.abs(raw_rates[:, :, None] - raw_rates[:, None, :])
     gaps[:, diag, diag] = np.inf
-    degenerate = np.min(gaps, axis=(1, 2)) < numerics.degenerate_rate_tol
+    degenerate = np.min(gaps, axis=(1, 2)) < DEGENERATE_RATE_TOL
 
     # ops[i, j] = sum_a vecs[i, a, j] basis[a], rescaled to unit 2-norm
     ops = np.einsum("iaj,axy->ijxy", vecs, basis)
@@ -225,10 +225,7 @@ class RateSeries:
     flagged: np.ndarray = field(repr=False)
 
 
-def rate_series(
-    local: LocalMapSeries,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
-) -> RateSeries:
+def rate_series(local: LocalMapSeries) -> RateSeries:
     """Canonical rates of each single-step map, as a time series.
 
     Every unflagged step goes through the matrix logarithm and the canonical
@@ -244,9 +241,9 @@ def rate_series(
     """
     flagged = np.array(local.flagged, dtype=bool)
     steps = np.flatnonzero(~flagged)
-    gens, failures = _logm_stack(local.maps[steps], local.dt, numerics)
+    gens, failures = _logm_stack(local.maps[steps], local.dt)
     # a failed logarithm leaves a zero generator, which decomposes cleanly
-    _, step_rates, _, _, tp_failures = _canonical_stack(gens, numerics)
+    _, step_rates, _, _, tp_failures = _canonical_stack(gens)
     failures.update(tp_failures)
     flagged[steps[sorted(failures)]] = True
 

@@ -23,7 +23,6 @@ from .errors import (
     NonDiagonalizable,
     SingularBasis,
 )
-from .numerics import DEFAULT_NUMERICS, NumericsConfig
 
 __all__ = [
     "DynamicalMapSeries",
@@ -42,6 +41,19 @@ __all__ = [
     "pauli",
     "matrix_units",
 ]
+
+#: Hermiticity residual max |M - M^dag| allowed by :func:`is_hermitian`
+HERMITICITY_TOL = 1e-12
+#: trace-functional residual allowed by :func:`is_trace_preserving`
+TRACE_TOL = 1e-10
+#: largest basis Gram condition number :func:`from_trajectories` accepts
+BASIS_COND_MAX = 1e12
+#: eigenvalue argument distance from pi below which :func:`logm` refuses
+BRANCH_TOL = 1e-6
+#: eigenvector condition number beyond which a map counts as non-diagonalizable
+EIGVEC_COND_MAX = 1e12
+#: eigenvector condition number beyond which :func:`logm` uses inverse scaling-and-squaring
+LOGM_FALLBACK_COND = 1e6
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -139,12 +151,12 @@ def trace_functional(dim: int) -> np.ndarray:
 # predicates
 # ---------------------------------------------------------------------------
 
-def is_hermitian(m: np.ndarray, tol: float = DEFAULT_NUMERICS.hermiticity_tol) -> bool:
+def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     m = np.asarray(m)
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
-def is_trace_preserving(superop: np.ndarray, tol: float = DEFAULT_NUMERICS.trace_tol) -> bool:
+def is_trace_preserving(superop: np.ndarray, tol: float = TRACE_TOL) -> bool:
     """Check vec(I)^dag E = vec(I)^dag within ``tol``."""
     superop = np.asarray(superop, dtype=complex)
     dim = int(round(np.sqrt(superop.shape[0])))
@@ -206,7 +218,6 @@ def from_trajectories(
     trajectories: list[list[np.ndarray]],
     dt: float,
     t0: float = 0.0,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
 ) -> DynamicalMapSeries:
     """Reconstruct cumulative maps from evolved operator-basis trajectories.
 
@@ -231,7 +242,7 @@ def from_trajectories(
     basis_mat = np.column_stack([vectorize(b) for b in basis_states])
     gram = basis_mat.conj().T @ basis_mat
     cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > numerics.basis_cond_max:
+    if not np.isfinite(cond) or cond > BASIS_COND_MAX:
         raise SingularBasis(f"basis Gram matrix condition number {cond:.3e}")
 
     out = np.empty((steps, dim * dim, dim * dim), dtype=complex)
@@ -252,11 +263,7 @@ def singular_values(superop: np.ndarray) -> np.ndarray:
     return np.linalg.svd(np.asarray(superop, dtype=complex), compute_uv=False)
 
 
-def logm(
-    superop: np.ndarray,
-    dt: float,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
-) -> np.ndarray:
+def logm(superop: np.ndarray, dt: float) -> np.ndarray:
     """Principal matrix logarithm divided by dt: the generator of the map.
 
     Uses an eigendecomposition, V diag(log lambda) V^-1; falls back to
@@ -264,22 +271,18 @@ def logm(
     matrix is poorly conditioned. Eigenvalues that are zero or on (or
     numerically touching) the negative real axis have no principal logarithm
     and raise :class:`BranchAmbiguity`; an eigenvector condition number above
-    ``eigvec_cond_max`` raises :class:`NonDiagonalizable`. This is
+    ``EIGVEC_COND_MAX`` raises :class:`NonDiagonalizable`. This is
     :func:`_logm_stack` on a stack of one map.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    gens, failures = _logm_stack(np.asarray(superop, dtype=complex)[None], dt, numerics)
+    gens, failures = _logm_stack(np.asarray(superop, dtype=complex)[None], dt)
     if failures:
         raise failures[0]
     return gens[0]
 
 
-def _logm_stack(
-    maps: np.ndarray,
-    dt: float,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
-) -> tuple[np.ndarray, dict[int, Exception]]:
+def _logm_stack(maps: np.ndarray, dt: float) -> tuple[np.ndarray, dict[int, Exception]]:
     """Generators log(maps[i]) / dt of a stack of maps, in one batched pass.
 
     Returns the generators and, for each map that has no logarithm, its
@@ -292,9 +295,9 @@ def _logm_stack(
     dist_to_cut = np.pi - np.abs(np.angle(evals))
     cond = np.linalg.cond(evecs)
     zero = np.any(evals == 0, axis=1)
-    near_cut = np.any(dist_to_cut < numerics.branch_tol, axis=1)
+    near_cut = np.any(dist_to_cut < BRANCH_TOL, axis=1)
     # a NaN condition number fails this test too
-    defective = ~(cond <= numerics.eigvec_cond_max)
+    defective = ~(cond <= EIGVEC_COND_MAX)
 
     failures: dict[int, Exception] = {}
     failed = zero | near_cut | defective
@@ -304,13 +307,13 @@ def _logm_stack(
         elif near_cut[i]:
             worst = evals[i, np.argmin(dist_to_cut[i])]
             failures[i] = BranchAmbiguity(
-                f"eigenvalue {worst:.6e} lies within {numerics.branch_tol:.1e} of the "
+                f"eigenvalue {worst:.6e} lies within {BRANCH_TOL:.1e} of the "
                 "negative real axis"
             )
         else:
             failures[i] = NonDiagonalizable(f"eigenvector condition number {cond[i]:.3e}")
 
-    fallback = ~failed & (cond > numerics.logm_fallback_cond)
+    fallback = ~failed & (cond > LOGM_FALLBACK_COND)
     direct = ~failed & ~fallback
     gens = np.zeros_like(maps)
     vecs = evecs[direct]

@@ -20,7 +20,6 @@ from .maps import (
     hamiltonian_superop,
     is_hermitian,
 )
-from .numerics import DEFAULT_NUMERICS, NumericsConfig
 
 __all__ = [
     "SubOhmicDensity",
@@ -136,6 +135,10 @@ def spectral_density_eval(sd: SpectralDensity, omega):
     return float(out) if np.isscalar(omega) or arr.ndim == 0 else out
 
 
+#: spectral-density support cutoff, relative to the peak of J
+SUPPORT_FLOOR = 1e-12
+
+
 @lru_cache(maxsize=None)
 def _support_info(sd: SpectralDensity, floor: float) -> tuple[float, float]:
     """(peak frequency, upper integration limit) of a spectral density.
@@ -159,13 +162,13 @@ def _support_info(sd: SpectralDensity, floor: float) -> tuple[float, float]:
     return float(grid[i_peak]), 2.0 * wmax
 
 
-def support_cutoff(sd: SpectralDensity, floor: float = DEFAULT_NUMERICS.support_floor) -> float:
+def support_cutoff(sd: SpectralDensity, floor: float = SUPPORT_FLOOR) -> float:
     """Upper integration limit: where J has fallen below ``floor`` times its
     peak, then doubled. Returns 0.0 for an identically vanishing density."""
     return _support_info(sd, floor)[1]
 
 
-def _segments(sd: SpectralDensity, numerics: NumericsConfig) -> np.ndarray:
+def _segments(sd: SpectralDensity) -> np.ndarray:
     """Decade breakpoints anchored at the spectral-density peak, plus the
     nodes of a tabulated density.
 
@@ -175,7 +178,7 @@ def _segments(sd: SpectralDensity, numerics: NumericsConfig) -> np.ndarray:
     keeps the peak resolved. A tabulated density is linear between its
     nodes, so with the nodes as breakpoints no kink lies inside a segment.
     """
-    w_peak, w_max = _support_info(sd, numerics.support_floor)
+    w_peak, w_max = _support_info(sd, SUPPORT_FLOOR)
     if w_max == 0.0:
         return np.array([0.0])
     lo = max(w_peak, w_max * 1e-15) * 1e-2
@@ -210,8 +213,8 @@ class SystemSpec:
             raise ValueError("h_s and coupling_op must be square and equal-shaped")
         if not is_hermitian(h) or not is_hermitian(o):
             raise ValueError("h_s and coupling_op must be Hermitian to 1e-12")
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
+        if not 0 <= self.temperature < np.inf:
+            raise ValueError(f"temperature = {self.temperature} must be finite and non-negative")
         h.flags.writeable = False
         o.flags.writeable = False
         object.__setattr__(self, "h_s", h)

@@ -27,7 +27,6 @@ from .models import (
     _segments,
     build_embedding,
 )
-from .numerics import DEFAULT_NUMERICS, NumericsConfig
 
 __all__ = [
     "InfluenceCoefficients",
@@ -116,6 +115,10 @@ _ORDER = 24
 _BESSEL_PHASE = 40.0
 #: most panels one :func:`eta_coefficients` call may hold
 _MAX_PANELS = 4000
+#: relative error allowed to each eta_k
+ETA_RTOL = 1e-7
+#: relative error allowed to C(0), which sets the eta error floor
+QUAD_RTOL = 1e-8
 
 
 def eta_coefficients(
@@ -123,7 +126,6 @@ def eta_coefficients(
     temperature: float,
     dt: float,
     kmax: int,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
 ) -> InfluenceCoefficients:
     """Window integrals of the bath correlation function, one frequency
     integral per coefficient.
@@ -166,8 +168,8 @@ def eta_coefficients(
     a panel is too small to bisect.
 
     Error rule: for each coefficient the summed error bounds must then stay
-    below max(eta_rtol |eta_k|, floor) with floor = max(1e-10 |C(0)| dt^2,
-    1e-13), and below max(quad_rtol |C(0)|, floor) for C(0); otherwise, or
+    below max(ETA_RTOL |eta_k|, floor) with floor = max(1e-10 |C(0)| dt^2,
+    1e-13), and below max(QUAD_RTOL |C(0)|, floor) for C(0); otherwise, or
     on a non-finite value, :class:`~dynamap.errors.QuadratureFailure` is
     raised.
     """
@@ -175,11 +177,11 @@ def eta_coefficients(
         raise ValueError("dt must be positive")
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    breaks = _segments(sd, numerics)
+    breaks = _segments(sd)
     if breaks.size < 2:
         return InfluenceCoefficients(dt=dt, kmax=kmax, eta=np.zeros(kmax + 1, dtype=complex))
-    rtol = np.full(kmax + 2, numerics.eta_rtol)
-    rtol[-1] = numerics.quad_rtol
+    rtol = np.full(kmax + 2, ETA_RTOL)
+    rtol[-1] = QUAD_RTOL
     panels = np.stack([breaks[:-1], breaks[1:], breaks[1:]], axis=1)  # lo, hi, segment top
     values, errors = _panel_integrals(sd, temperature, dt, kmax, panels)
     while True:
@@ -316,12 +318,16 @@ _READOUT_ROWS = 2048
 #: slower than one at a time at kmax = 8 (1 MiB) and 9. The crossover was
 #: timed at D = 2 only; at D = 3 and above it is unmeasured
 _GROUP_BYTES = 1 << 20
+#: bytes the dense recursion may hold at once (one group's path tensor and
+#: its spare, influence tables, maps; see :func:`_dense_peak_bytes`); it
+#: admits kmax <= 13 at D = 2 (3.6e9 bytes at kmax = 13, one basis operator
+#: at a time) and kmax <= 8 at D = 3
+MEMORY_BUDGET = 2.0**32
 
 def quapi_propagate(
     system: SystemSpec,
     coeffs: InfluenceCoefficients,
     n_steps: int,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
 ) -> DynamicalMapSeries:
     """Dynamical maps from iterative path summation with finite memory.
 
@@ -344,7 +350,7 @@ def quapi_propagate(
     not depend on the grouping, bit for bit. The memory guard compares the
     bytes held at once for one group (:func:`_dense_peak_bytes`; about
     16 (D^2)^kmax (2 + D^2/(D^2 - 1)) for deep memories) with
-    ``numerics.memory_budget``.
+    ``MEMORY_BUDGET``.
 
     When the system Hamiltonian commutes with the coupling operator the path
     variables never mix, the sum collapses onto constant paths, and an exact
@@ -358,7 +364,7 @@ def quapi_propagate(
     if commuting:
         maps_eig = _propagate_commuting(np.diag(h_eig).real, *args)
     else:
-        maps_eig = _propagate_dense(h_eig, *args, numerics)
+        maps_eig = _propagate_dense(h_eig, *args)
     out = np.einsum("ab,nbc,cd->nad", basis_change.conj().T, maps_eig, basis_change)
     del maps_eig  # the series copies ``out``; hold two series, not three
     return DynamicalMapSeries(dt=coeffs.dt, t0=0.0, maps=out)
@@ -369,7 +375,6 @@ def quapi_state(
     coeffs: InfluenceCoefficients,
     initial: np.ndarray,
     n_steps: int,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
 ) -> np.ndarray:
     """Reduced state after ``n_steps`` steps from ``initial``, the state
     E(t_n, 0) rho_0 of :func:`quapi_propagate` without its map series.
@@ -394,7 +399,7 @@ def quapi_state(
     if commuting:
         vec = _propagate_commuting(np.diag(h_eig).real, *args)[-1] @ x
     else:
-        _check_budget(_dense_peak_bytes(d2, coeffs.kmax, 0, batch=1), numerics)
+        _check_budget(_dense_peak_bytes(d2, coeffs.kmax, 0, batch=1))
         k_half, path = _dense_path(h_eig, *args)
         for tensor in path(x[None, :]):
             pass
@@ -496,20 +501,20 @@ def _group_size(d2: int, kmax: int) -> int:
     return max(1, min(d2, _GROUP_BYTES // (16 * d2**kmax)))
 
 
-def _check_budget(peak_bytes: int, numerics: NumericsConfig) -> None:
-    if peak_bytes > numerics.memory_budget:
+def _check_budget(peak_bytes: int) -> None:
+    if peak_bytes > MEMORY_BUDGET:
         raise MemoryBudgetExceeded(
             f"path tensor, influence tables and maps of {peak_bytes:.3e} bytes "
-            f"exceed the budget {numerics.memory_budget:.3e}"
+            f"exceed the budget {MEMORY_BUDGET:.3e}"
         )
 
 
-def _propagate_dense(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, numerics):
+def _propagate_dense(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2):
     """Map series of the dense recursion: the D^2 basis operators run
     through :func:`_dense_path` in groups of :func:`_group_size`, one group
     after the other, and every path tensor of a group is read out into its
     columns of the maps."""
-    _check_budget(_dense_peak_bytes(d2, kmax, n_steps), numerics)
+    _check_budget(_dense_peak_bytes(d2, kmax, n_steps))
     k_half, path = _dense_path(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2)
     maps = np.empty((n_steps, d2, d2), dtype=complex)
     basis = np.eye(d2, dtype=complex)

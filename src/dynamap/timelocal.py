@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import CutoffExceedsData, DimensionMismatch, StationaryMapFlagged
 from .maps import DynamicalMapSeries, singular_values, vectorize
-from .numerics import DEFAULT_NUMERICS, NumericsConfig
 
 __all__ = [
     "LocalMapSeries",
@@ -29,6 +28,11 @@ __all__ = [
     "spectral_stability",
     "tl_refusal",
 ]
+
+#: flag a map inversion when sigma_min/sigma_max drops below this
+SV_RATIO_MIN = 1e-8
+#: margin above 1 allowed to a stationary map's spectral radius
+SPECTRAL_RADIUS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,6 @@ class LocalMapSeries:
 def local_maps(
     series: DynamicalMapSeries,
     cond_threshold: float | None = None,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
 ) -> LocalMapSeries:
     """Single-step maps from a cumulative series, flagging singular inversions.
 
@@ -87,7 +90,7 @@ def local_maps(
     below the threshold is flagged.
     """
     if cond_threshold is None:
-        cond_threshold = numerics.sv_ratio_min
+        cond_threshold = SV_RATIO_MIN
     maps = series.maps
     prev, nxt = maps[:-1], maps[1:]
     sv = singular_values(prev)
@@ -162,10 +165,7 @@ class SpectralStability:
     stable: bool
 
 
-def spectral_stability(
-    superop: np.ndarray,
-    numerics: NumericsConfig = DEFAULT_NUMERICS,
-) -> SpectralStability:
+def spectral_stability(superop: np.ndarray) -> SpectralStability:
     """Predict whether repeated application of a map stays bounded.
 
     Any eigenvalue modulus above 1 + tolerance makes repeated application of
@@ -177,7 +177,7 @@ def spectral_stability(
     return SpectralStability(
         leading_eigenvalue=complex(evals[idx]),
         max_modulus=max_mod,
-        stable=max_mod <= 1.0 + numerics.spectral_radius_tol,
+        stable=max_mod <= 1.0 + SPECTRAL_RADIUS_TOL,
     )
 
 

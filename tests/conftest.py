@@ -14,7 +14,7 @@ from dynamap.maps import (
     pauli,
 )
 from dynamap.models import _segments, support_cutoff
-from dynamap.numerics import DEFAULT_NUMERICS
+from dynamap.propagators import QUAD_RTOL
 
 # property tests draw the same examples on every run, and none fails on a
 # deadline when the machine is loaded; no example database is written
@@ -129,7 +129,7 @@ def _segmented_quad(f, breakpoints, rtol, scale, **kwargs):
     return total
 
 
-def bath_correlation(sd, temperature, t, numerics=DEFAULT_NUMERICS):
+def bath_correlation(sd, temperature, t):
     """C(t) = int_0^inf dw J(w) [coth(w/2T) cos(wt) - i sin(wt)], t >= 0.
 
     At T = 0 the coth factor is 1. The imaginary part never depends on the
@@ -139,11 +139,11 @@ def bath_correlation(sd, temperature, t, numerics=DEFAULT_NUMERICS):
     """
     if t < 0:
         raise ValueError("bath correlations are evaluated for t >= 0")
-    breaks = _segments(sd, numerics)
+    breaks = _segments(sd)
     if breaks.size < 2:
         return 0.0 + 0.0j
     scale = _correlation_scale(sd)
-    rtol = numerics.quad_rtol
+    rtol = QUAD_RTOL
 
     if temperature > 0:
         def sym_part(w):

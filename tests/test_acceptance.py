@@ -51,7 +51,6 @@ from dynamap.models import (
     stationary_state,
     support_cutoff,
 )
-from dynamap.numerics import DEFAULT_NUMERICS
 from dynamap.propagators import (
     embedding_propagate,
     embedding_state,
@@ -59,6 +58,7 @@ from dynamap.propagators import (
     extended_spectrum,
 )
 from dynamap.serialization import read_map_series, write_map_series
+from dynamap.timelocal import SV_RATIO_MIN
 
 
 @contextmanager
@@ -276,7 +276,7 @@ def test_criterion_6_singularity_diagnostics(subohmic_run):
             "no flagged near-singular time below t = 20"
         )
         # flags are exactly the inversions that fail the condition test
-        threshold = DEFAULT_NUMERICS.sv_ratio_min
+        threshold = SV_RATIO_MIN
         assert np.array_equal(local.flagged[1:], local.sv_ratios[1:] < threshold)
 
         # flag confinement, on a source whose only singular time is t_star

@@ -29,6 +29,8 @@ from dynamap.errors import (
     StationaryMapFlagged,
 )
 from dynamap.lindblad import (
+    DEGENERATE_RATE_TOL,
+    GENERATOR_TP_TOL,
     CanonicalForm,
     RateSeries,
     _canonical_design,
@@ -36,6 +38,10 @@ from dynamap.lindblad import (
     rate_series,
 )
 from dynamap.maps import (
+    BRANCH_TOL,
+    EIGVEC_COND_MAX,
+    HERMITICITY_TOL,
+    LOGM_FALLBACK_COND,
     DynamicalMapSeries,
     devectorize,
     expm,
@@ -44,8 +50,8 @@ from dynamap.maps import (
     trace_functional,
     vectorize,
 )
-from dynamap.numerics import DEFAULT_NUMERICS
 from dynamap.timelocal import (
+    SV_RATIO_MIN,
     LocalMapSeries,
     extrapolate_tl,
     local_maps,
@@ -88,14 +94,12 @@ class NearSingularMap(DynamapError):
         )
 
 
-def invert(superop, cond_threshold=None, numerics=DEFAULT_NUMERICS):
+def invert(superop, cond_threshold=SV_RATIO_MIN):
     """Exact inverse of a map, guarded against near-singularity.
 
     Raises :class:`NearSingularMap` when sigma_min/sigma_max falls below
-    ``cond_threshold`` (default from the numerics record).
+    ``cond_threshold``.
     """
-    if cond_threshold is None:
-        cond_threshold = numerics.sv_ratio_min
     superop = np.asarray(superop, dtype=complex)
     sv = singular_values(superop)
     smax = float(sv[0])
@@ -105,7 +109,7 @@ def invert(superop, cond_threshold=None, numerics=DEFAULT_NUMERICS):
     return np.linalg.inv(superop)
 
 
-def local_maps_loop(series, cond_threshold=DEFAULT_NUMERICS.sv_ratio_min):
+def local_maps_loop(series, cond_threshold=SV_RATIO_MIN):
     n_steps = len(series)
     maps = series.maps
     out = np.empty_like(maps)
@@ -163,7 +167,7 @@ def extrapolate_tl_loop(local, initial, k, total_steps):
     return states
 
 
-def logm_loop(superop, dt, numerics=DEFAULT_NUMERICS):
+def logm_loop(superop, dt):
     if dt <= 0:
         raise ValueError("dt must be positive")
     superop = np.asarray(superop, dtype=complex)
@@ -173,17 +177,17 @@ def logm_loop(superop, dt, numerics=DEFAULT_NUMERICS):
         raise BranchAmbiguity("map has a zero eigenvalue; logarithm undefined")
     args = np.angle(evals)
     dist_to_cut = np.pi - np.abs(args)
-    if np.any(dist_to_cut < numerics.branch_tol):
+    if np.any(dist_to_cut < BRANCH_TOL):
         worst = evals[np.argmin(dist_to_cut)]
         raise BranchAmbiguity(
-            f"eigenvalue {worst:.6e} lies within {numerics.branch_tol:.1e} of the "
+            f"eigenvalue {worst:.6e} lies within {BRANCH_TOL:.1e} of the "
             "negative real axis"
         )
 
     cond = np.linalg.cond(evecs)
-    if not np.isfinite(cond) or cond > numerics.eigvec_cond_max:
+    if not np.isfinite(cond) or cond > EIGVEC_COND_MAX:
         raise NonDiagonalizable(f"eigenvector condition number {cond:.3e}")
-    if cond > numerics.logm_fallback_cond:
+    if cond > LOGM_FALLBACK_COND:
         import scipy.linalg as sla
 
         log_map = sla.logm(superop)
@@ -192,17 +196,17 @@ def logm_loop(superop, dt, numerics=DEFAULT_NUMERICS):
     return log_map / dt
 
 
-def canonical_decompose_loop(gen, numerics=DEFAULT_NUMERICS):
+def canonical_decompose_loop(gen):
     gen = np.asarray(gen, dtype=complex)
     d2 = gen.shape[0]
     dim = int(round(np.sqrt(d2)))
     w = trace_functional(dim)
     residual = float(np.max(np.abs(w @ gen)))
     scale = max(1.0, float(np.linalg.norm(gen)))
-    if residual > numerics.generator_tp_tol * scale:
+    if residual > GENERATOR_TP_TOL * scale:
         raise NotTracePreserving(
             f"trace functional residual {residual:.3e} exceeds tolerance "
-            f"{numerics.generator_tp_tol * scale:.3e}"
+            f"{GENERATOR_TP_TOL * scale:.3e}"
         )
 
     basis, pair_index, design_real = _canonical_design(dim)
@@ -222,7 +226,7 @@ def canonical_decompose_loop(gen, numerics=DEFAULT_NUMERICS):
     raw_rates, vecs = np.linalg.eigh(coeff)
     gaps = np.abs(raw_rates[:, None] - raw_rates[None, :])
     np.fill_diagonal(gaps, np.inf)
-    if np.min(gaps) < numerics.degenerate_rate_tol:
+    if np.min(gaps) < DEGENERATE_RATE_TOL:
         warnings.warn(
             "degenerate canonical rates; operators within the degenerate block "
             "are determined only up to a unitary mixing",
@@ -250,7 +254,7 @@ def canonical_decompose_loop(gen, numerics=DEFAULT_NUMERICS):
     return CanonicalForm(h_eff=np.asarray(h_eff), rates=rates, ops=tuple(ops))
 
 
-def rate_series_loop(local, numerics=DEFAULT_NUMERICS):
+def rate_series_loop(local):
     n_steps = len(local)
     dim = local.dim
     n_rates = dim * dim - 1
@@ -263,8 +267,8 @@ def rate_series_loop(local, numerics=DEFAULT_NUMERICS):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DegenerateRates)
-                gen = logm_loop(local.maps[n], local.dt, numerics=numerics)
-                form = canonical_decompose_loop(gen, numerics=numerics)
+                gen = logm_loop(local.maps[n], local.dt)
+                form = canonical_decompose_loop(gen)
         except (BranchAmbiguity, NonDiagonalizable, NotTracePreserving):
             flagged[n] = True
             continue
@@ -403,13 +407,13 @@ def test_extrapolators_keep_hermitian_states_hermitian(seed, dim, n_steps, data)
     # a semigroup map preserves Hermiticity, and so must both extrapolations
     # of its series; rounding stays below 170 eps of the largest initial
     # entry over 400 random cases and below 200 eps over 2000 steps, so the
-    # bound is hermiticity_tol (1e-12, about 4500 eps) on that scale
+    # bound is HERMITICITY_TOL (1e-12, about 4500 eps) on that scale
     gen = random_lindblad_generator(np.random.default_rng(seed), dim)
     series = semigroup_series(gen, 0.1, n_steps)
     k = data.draw(st.integers(1, n_steps))
     total = data.draw(st.integers(0, 3 * n_steps))
     rho = random_hermitian(np.random.default_rng(seed + 1), dim)
-    tol = DEFAULT_NUMERICS.hermiticity_tol * np.max(np.abs(rho))
+    tol = HERMITICITY_TOL * np.max(np.abs(rho))
     for states in (extrapolate(decompose(series), rho, k, total),
                    extrapolate_tl(local_maps(series), rho, k, total)):
         assert np.max(np.abs(states - states.conj().transpose(0, 2, 1))) <= tol

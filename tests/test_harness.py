@@ -296,6 +296,39 @@ class TestConfigReader:
         assert cli_main(["singvals", "--config", ini, "--out", str(tmp_path / "out")]) == 2
         assert "section [gird]" in capsys.readouterr().err
 
+    def test_default_section_exits_2(self, tmp_path, capsys):
+        # configparser would copy the key into every section
+        ini = write_ini(tmp_path / "default.ini", {
+            "DEFAULT": {"dt": 0.05}, "system": {"preset": "lindblad"},
+        })
+        assert cli_main(["singvals", "--config", ini, "--out", str(tmp_path / "out")]) == 2
+        assert "section [DEFAULT]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, fragment", [
+        ("[system]\npreset = lindblad\npreset = embedding\n", "option 'preset'"),
+        ("[system]\npreset = lindblad\n[system]\nhz = 0.1\n", "section 'system'"),
+        ("preset = lindblad\n", "no section headers"),
+        ("[system]\npreset = lindblad\n[extrapolation]\ntau_c = 1%\n", "tau_c '1%'"),
+    ], ids=["duplicate_key", "duplicate_section", "no_section_header", "percent"])
+    def test_ini_syntax_error_exits_2(self, tmp_path, capsys, text, fragment):
+        ini = tmp_path / "syntax.ini"
+        ini.write_text(text)
+        assert cli_main(["singvals", "--config", str(ini), "--out", str(tmp_path / "out")]) == 2
+        assert fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset, section, key, text", [
+        ("drude_lorentz", "system", "temperature", "nan"),
+        ("drude_lorentz", "system", "temperature", "inf"),
+        ("embedding", "extrapolation", "cond_threshold", "nan"),
+        ("lindblad", "extrapolation", "cond_threshold", "-0.5"),
+        ("lindblad", "extrapolation", "cond_threshold", "1.5"),
+    ])
+    def test_out_of_range_setting_exits_2(self, tmp_path, capsys, preset, section, key, text):
+        ini = write_ini(tmp_path / "range.ini", {"system": {"preset": preset}, section: {key: text}})
+        assert cli_main(["singvals", "--config", ini, "--out", str(tmp_path / "out")]) == 2
+        assert f"{key} = {text}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "singvals.csv").exists()
+
     def test_perfbench_configs_load_as_their_overrides(self):
         configs = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
         pipeline = load_config(str(configs / "embedding_pipeline.ini"))

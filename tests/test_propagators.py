@@ -20,7 +20,6 @@ from dynamap.models import (
     _segments,
     builtin_model,
 )
-from dynamap.numerics import DEFAULT_NUMERICS, NumericsConfig
 from dynamap import propagators
 from dynamap.propagators import (
     InfluenceCoefficients,
@@ -60,7 +59,7 @@ def truncate(coeffs, kmax):
     return InfluenceCoefficients(dt=coeffs.dt, kmax=kmax, eta=coeffs.eta[: kmax + 1])
 
 
-def lag_product_dense(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, numerics):
+def lag_product_dense(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2):
     """Reference dense recursion: every step multiplies the path tensor by
     the step kernel and then by each lag factor in turn, over all kmax + 1
     path variables, and sums out the oldest once the window is full."""
@@ -85,7 +84,7 @@ def lag_product_dense(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, numerics)
     return maps
 
 
-def one_pass_dense(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2, numerics):
+def one_pass_dense(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2):
     """Reference dense recursion without groups: all D^2 basis operators
     through :func:`_dense_path` as one batch, every step read out whole."""
     k_half, path = _dense_path(h_eig, dt, n_steps, kmax, self_phi, lag_phi, d2)
@@ -220,7 +219,7 @@ def quadpack_eta(sd, temperature, dt, k):
     """eta_k by QUADPACK per decade segment, as eta_coefficients computed it
     before its Filon rule: the windowed integrand whole where b (k+1) dt <
     20, above that the cos/sin-weighted pieces of J coth/w^2 and J/w^2."""
-    breaks = _segments(sd, DEFAULT_NUMERICS)
+    breaks = _segments(sd)
     floor = max(1e-10 * abs(bath_correlation(sd, temperature, 0.0)) * dt**2, 1e-13)
 
     def sym(w):
@@ -329,27 +328,27 @@ class TestEtaCoefficients:
         ],
         ids=["drude_lorentz", "subohmic_T0.5", "qd_phonon", "tabulated_9_nodes"],
     )
-    def test_matches_mpmath(self, sd, temperature, dt, eta_rtol, reference):
+    def test_matches_mpmath(self, sd, temperature, dt, eta_rtol, reference, monkeypatch):
         # the references are the frequency integrals of the docstring over
         # [0, support_cutoff], by mpmath.quad at 30 digits on a partition of
         # quarter periods (for the table, its nodes); the Drude-Lorentz tail
         # above w = 200 by mpmath.quadosc on the exp(-i m dt w) pieces, with
         # dt int J/w in closed form up to the cutoff
         kmax = max(reference)
-        coeffs = eta_coefficients(
-            sd, temperature, dt, kmax, numerics=NumericsConfig(eta_rtol=eta_rtol)
-        )
+        monkeypatch.setattr(propagators, "ETA_RTOL", eta_rtol)
+        coeffs = eta_coefficients(sd, temperature, dt, kmax)
         for k, (re, im) in reference.items():
             assert abs(coeffs.eta[k] - complex(re, im)) <= 1e-12 * abs(complex(re, im)), k
 
-    def test_unreachable_eta_rtol_raises(self):
+    def test_unreachable_eta_rtol_raises(self, monkeypatch):
         # J coth(w/2T) ~ w^-0.98 at w = 0: bisection towards the endpoint
         # removes a factor 2^-0.02 of the error per step, so no tolerance is
         # reached before the panels underflow
         sharp = SubOhmicDensity(alpha=0.2, s=0.02, omega_c=5.0)
         for eta_rtol in (1e-7, 1e-12):
+            monkeypatch.setattr(propagators, "ETA_RTOL", eta_rtol)
             with pytest.raises(QuadratureFailure):
-                eta_coefficients(sharp, 0.5, 0.08, 5, numerics=NumericsConfig(eta_rtol=eta_rtol))
+                eta_coefficients(sharp, 0.5, 0.08, 5)
 
     @pytest.mark.parametrize("theta", [0.0, 0.3, 7.0, 39.99, 40.01, 250.0, 3e4])
     def test_legendre_moments_are_spherical_bessel(self, theta):
@@ -468,14 +467,14 @@ class TestQuapiPropagate:
         late = sz[int(25 / 0.08) :]
         assert np.max(np.abs(late)) < 0.02  # decayed
 
-    def test_memory_budget_guard(self):
+    def test_memory_budget_guard(self, monkeypatch):
         system, _, _ = builtin_model("subohmic")
         coeffs = InfluenceCoefficients(dt=0.08, kmax=3, eta=np.ones(4, dtype=complex))
-        tight = NumericsConfig(memory_budget=100.0)
+        monkeypatch.setattr(propagators, "MEMORY_BUDGET", 100.0)
         with pytest.raises(MemoryBudgetExceeded):
-            quapi_propagate(system, coeffs, 5, numerics=tight)
+            quapi_propagate(system, coeffs, 5)
 
-    def test_memory_budget_is_peak_bytes(self):
+    def test_memory_budget_is_peak_bytes(self, monkeypatch):
         # complex128 entries at D = 2, kmax = 3, 5 steps, all four basis
         # operators in one group: the path tensor and its spare, the influence
         # tables up to h = 2 and the oldest lag factor, one numpy loop buffer
@@ -487,14 +486,16 @@ class TestQuapiPropagate:
         tensor = 4 ** 4
         peak = (16 * (2 * tensor + (4**2 + 4**3) + 4**2 + tensor + (2 * 5 + 32) * 4**2)
                 + 8 * (4 * 4**2 * 2 * 4 + 4**2))
-        with pytest.raises(MemoryBudgetExceeded):
-            quapi_propagate(system, coeffs, 5, numerics=NumericsConfig(memory_budget=peak - 1))
-        quapi_propagate(system, coeffs, 5, numerics=NumericsConfig(memory_budget=peak))
         # the default still admits kmax = 8 at D = 2; one operator at a time
         # it admits kmax = 13, and refuses kmax = 14
-        assert _dense_peak_bytes(4, 8, 1000) <= DEFAULT_NUMERICS.memory_budget
-        assert _dense_peak_bytes(4, 13, 1) <= DEFAULT_NUMERICS.memory_budget
-        assert _dense_peak_bytes(4, 14, 1) > DEFAULT_NUMERICS.memory_budget
+        assert _dense_peak_bytes(4, 8, 1000) <= propagators.MEMORY_BUDGET
+        assert _dense_peak_bytes(4, 13, 1) <= propagators.MEMORY_BUDGET
+        assert _dense_peak_bytes(4, 14, 1) > propagators.MEMORY_BUDGET
+        monkeypatch.setattr(propagators, "MEMORY_BUDGET", peak - 1)
+        with pytest.raises(MemoryBudgetExceeded):
+            quapi_propagate(system, coeffs, 5)
+        monkeypatch.setattr(propagators, "MEMORY_BUDGET", peak)
+        quapi_propagate(system, coeffs, 5)
 
     @pytest.mark.parametrize("kmax", [3, 6, 8])
     def test_memory_budget_bounds_traced_peak(self, kmax):
@@ -669,7 +670,7 @@ class TestQuapiState:
         assert abs(got[0, 1]) < abs(rho[0, 1])
         assert np.allclose(np.diag(got), np.diag(rho), atol=1e-15)
 
-    def test_memory_budget_is_peak_bytes_of_one_state(self):
+    def test_memory_budget_is_peak_bytes_of_one_state(self, monkeypatch):
         # complex128 entries at D = 2, kmax = 3 for a batch of one: the path
         # tensor and its spare, the influence tables up to h = 2 and the
         # oldest lag factor, one numpy loop buffer, no map series and 32 D^4
@@ -679,9 +680,11 @@ class TestQuapiState:
         peak = _dense_peak_bytes(4, 3, 0, batch=1)
         assert peak == (16 * (2 * 4**3 + (4**2 + 4**3) + 4**2 + 4**3 + 32 * 4**2)
                         + 8 * 4**2 * (2 * 4 + 1))
+        monkeypatch.setattr(propagators, "MEMORY_BUDGET", peak - 1)
         with pytest.raises(MemoryBudgetExceeded):
-            quapi_state(system, coeffs, EXCITED, 5, numerics=NumericsConfig(memory_budget=peak - 1))
-        quapi_state(system, coeffs, EXCITED, 5, numerics=NumericsConfig(memory_budget=peak))
+            quapi_state(system, coeffs, EXCITED, 5)
+        monkeypatch.setattr(propagators, "MEMORY_BUDGET", peak)
+        quapi_state(system, coeffs, EXCITED, 5)
 
     @pytest.mark.parametrize("kmax", [3, 6])
     def test_memory_budget_bounds_traced_peak_of_state(self, kmax):

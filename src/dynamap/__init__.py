@@ -53,7 +53,6 @@ from .models import (
     SystemSpec,
     TabulatedDensity,
     build_embedding,
-    builtin_model,
     spectral_density_eval,
 )
 from .propagators import (

@@ -165,7 +165,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](config, out, args)
-    except (ConfigError, UnknownModel, FileNotFoundError) as exc:
+    except (ConfigError, UnknownModel) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except DynamapError as exc:

@@ -32,7 +32,6 @@ from .models import (
     SubOhmicDensity,
     SystemSpec,
     build_embedding,
-    builtin_model,
     load_tabulated,
 )
 from .propagators import (
@@ -189,63 +188,42 @@ class SweepConfig:
         return round(tau / self.dt)
 
 
-# The spin-boson presets run the built-in models through the path integral
-# at kmax = 5: model name -> (n_short, t_ref, tau_c), with t_ref None for
-# the model's own. The sub-ohmic one is at desk scale, over a t = 40 horizon;
-# its cutoff sweep spans the regime where truncation errors are above machine
-# noise (the effective memory of the truncated source is below ~1.5 time
-# units).
-_SPIN_BOSON_PRESETS = {
-    "subohmic": (500, 40.0, (0.16, 0.24, 0.32, 0.48, 0.64, 0.8, 0.96, 1.2)),
-    "drude_lorentz": (100, None, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0, 1.5)),
-    "qd_phonon": (100, None, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0, 1.5)),
-}
-
-
-def _preset_spin_boson(name: str) -> SweepConfig:
-    system, bath, grid = builtin_model(name)
-    n_short, t_ref, tau_c = _SPIN_BOSON_PRESETS[name]
-    return SweepConfig(
-        label=name,
-        system=system,
-        bath=bath,
-        propagator=QuapiPropagator(kmax=5),
-        dt=grid.dt,
-        n_short=n_short,
-        t_ref=grid.t_ref if t_ref is None else t_ref,
-        tau_c=tau_c,
-    )
-
-
-# The exact-source presets drive H_S = sigma_x/2, coupled by sigma_z/2, at
-# dt = 0.1: name -> (propagator, n_short, t_ref, tau_c).
-_EXACT_PRESETS = {
-    "embedding": (EmbeddingPropagator(mode_frequency=1.0, coupling=0.4, decay=0.5, n_max=6),
-                  120, 200.0, (0.5, 1.0, 2.0, 4.0)),
-    "lindblad": (LindbladPropagator(jump="sigma_minus", rate=0.3), 100, 50.0, (1.0, 2.0, 5.0)),
-}
-
-
-def _preset_exact(name: str) -> SweepConfig:
-    propagator, n_short, t_ref, tau_c = _EXACT_PRESETS[name]
-    system = SystemSpec(h_s=0.5 * pauli("x"), coupling_op=0.5 * pauli("z"))
-    return SweepConfig(label=name, system=system, propagator=propagator, dt=0.1,
-                       n_short=n_short, t_ref=t_ref, tau_c=tau_c)
-
-
+# Every preset couples by sigma_z/2 at T = 0: name -> (H_S, bath, propagator,
+# dt, n_short, t_ref, tau_c). The sub-ohmic one is at desk scale, over a
+# t = 40 horizon; its cutoff sweep spans the regime where truncation errors
+# are above machine noise (the effective memory of the truncated source is
+# below ~1.5 time units). The quantum-dot one is in units of 1/ps: the
+# super-ohmic acoustic-phonon density of a 4 nm GaAs dot.
+_DRIVEN = 0.5 * pauli("x")
+_BIASED = 0.5 * (-pauli("z") + pauli("x"))
+_SPIN_BOSON_TAU_C = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0, 1.5)
 PRESETS = {
-    **{name: partial(_preset_spin_boson, name) for name in _SPIN_BOSON_PRESETS},
-    **{name: partial(_preset_exact, name) for name in _EXACT_PRESETS},
+    "subohmic": (_DRIVEN, SubOhmicDensity(alpha=0.2, s=0.7, omega_c=5.0),
+                 QuapiPropagator(kmax=5), 0.08, 500, 40.0,
+                 (0.16, 0.24, 0.32, 0.48, 0.64, 0.8, 0.96, 1.2)),
+    "drude_lorentz": (_BIASED, DrudeLorentzDensity(lam=0.1, gamma=1.0),
+                      QuapiPropagator(kmax=5), 0.05, 100, 100.0, _SPIN_BOSON_TAU_C),
+    "qd_phonon": (_BIASED, QDPhononDensity(c_e=0.1271, c_h=-0.0635, omega_e=2.555, omega_h=2.938),
+                  QuapiPropagator(kmax=5), 0.05, 100, 100.0, _SPIN_BOSON_TAU_C),
+    "embedding": (_DRIVEN, None,
+                  EmbeddingPropagator(mode_frequency=1.0, coupling=0.4, decay=0.5, n_max=6),
+                  0.1, 120, 200.0, (0.5, 1.0, 2.0, 4.0)),
+    "lindblad": (_DRIVEN, None, LindbladPropagator(jump="sigma_minus", rate=0.3),
+                 0.1, 100, 50.0, (1.0, 2.0, 5.0)),
 }
 
 
 def preset_config(name: str) -> SweepConfig:
+    """A fresh config of the preset ``name``, built from its row of PRESETS."""
     try:
-        return PRESETS[name]()
+        h_s, bath, propagator, dt, n_short, t_ref, tau_c = PRESETS[name]
     except KeyError:
         raise UnknownModel(
             f"no preset named {name!r}; choose from {sorted(PRESETS)}"
         ) from None
+    return SweepConfig(label=name, system=SystemSpec(h_s=h_s, coupling_op=0.5 * pauli("z")),
+                       bath=bath, propagator=propagator, dt=dt, n_short=n_short,
+                       t_ref=t_ref, tau_c=tau_c)
 
 
 def _parse_tau_c(text: str) -> tuple[float, ...]:
@@ -315,6 +293,11 @@ def _read_kind(table, kind_key: str, keys, base, section: str):
                    known={kind_key})
 
 
+def _unreadable(what: str, path: str, exc: Exception) -> ConfigError:
+    """The ConfigError for a file at ``path`` that cannot be read or parsed."""
+    return ConfigError(f"{what} {path!r}: {getattr(exc, 'strerror', None) or exc}")
+
+
 def _read_bath(keys, base: SpectralDensity | None) -> SpectralDensity | None:
     if keys.get("kind") == "none":
         _refuse_unknown("bath", keys, {"kind"})
@@ -323,7 +306,10 @@ def _read_bath(keys, base: SpectralDensity | None) -> SpectralDensity | None:
         _refuse_unknown("bath", keys, {"kind", "path"})
         if "path" not in keys:
             raise ConfigError("[bath] kind = custom_table needs key 'path'")
-        return load_tabulated(keys["path"])
+        try:
+            return load_tabulated(keys["path"])
+        except (OSError, ValueError) as exc:
+            raise _unreadable("[bath] table", keys["path"], exc) from None
     return _read_kind(_BATHS, "kind", keys, base, "bath")
 
 
@@ -362,14 +348,15 @@ def load_config(path_or_preset: str) -> SweepConfig:
     if path_or_preset in PRESETS:
         return preset_config(path_or_preset)
     path = Path(path_or_preset)
-    if not path.exists():
-        raise ConfigError(f"config file {path_or_preset!r} not found")
     import configparser
 
     # no interpolation: a '%' in a value reaches the key's own parser
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path_or_preset)
+        with open(path, encoding="utf-8") as handle:
+            parser.read_file(handle)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable("config file", path_or_preset, exc) from None
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
     # configparser copies [DEFAULT] into every section, so name it before any key check

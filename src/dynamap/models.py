@@ -12,14 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NegativeFrequency, TruncationGuard, UnknownModel
-from .maps import (
-    PAULI_X,
-    PAULI_Z,
-    dissipator_superop,
-    hamiltonian_superop,
-    is_hermitian,
-)
+from .errors import NegativeFrequency, TruncationGuard
+from .maps import dissipator_superop, hamiltonian_superop, is_hermitian
 
 __all__ = [
     "SubOhmicDensity",
@@ -30,14 +24,11 @@ __all__ = [
     "SystemSpec",
     "EmbeddingSpec",
     "Embedding",
-    "ModelGrid",
     "spectral_density_eval",
     "support_cutoff",
     "build_embedding",
     "stationary_state",
-    "builtin_model",
     "load_tabulated",
-    "BUILTIN_MODELS",
 ]
 
 
@@ -52,7 +43,6 @@ class SubOhmicDensity:
     alpha: float
     s: float
     omega_c: float
-    kind: str = field(default="subohmic", init=False)
 
     def profile(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -73,7 +63,6 @@ class DrudeLorentzDensity:
 
     lam: float
     gamma: float
-    kind: str = field(default="drude_lorentz", init=False)
 
     def profile(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -90,7 +79,6 @@ class QDPhononDensity:
     c_h: float
     omega_e: float
     omega_h: float
-    kind: str = field(default="qd_phonon", init=False)
 
     def profile(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -106,7 +94,6 @@ class TabulatedDensity:
 
     omegas: tuple[float, ...]
     values: tuple[float, ...]
-    kind: str = field(default="custom_table", init=False)
 
     def profile(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -117,8 +104,17 @@ SpectralDensity = SubOhmicDensity | DrudeLorentzDensity | QDPhononDensity | Tabu
 
 
 def load_tabulated(path) -> TabulatedDensity:
-    """Read a two-column (omega, J) CSV into a tabulated density."""
+    """Read a two-column (omega, J) CSV into a tabulated density; a table
+    that is not at least two rows of finite values with omega >= 0 is a
+    ValueError."""
     data = np.loadtxt(path, delimiter=",", ndmin=2)
+    if data.shape[0] < 2 or data.shape[1] != 2:
+        raise ValueError(f"{data.shape[0]} rows of {data.shape[1]} columns; "
+                         "expected at least 2 rows of 2 columns (omega, J)")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("a value is not finite")
+    if np.any(data[:, 0] < 0):
+        raise ValueError("a frequency is negative; J is defined for omega >= 0")
     order = np.argsort(data[:, 0])
     return TabulatedDensity(
         omegas=tuple(float(x) for x in data[order, 0]),
@@ -303,52 +299,3 @@ def stationary_state(embedding: Embedding) -> np.ndarray:
     d = embedding.system_dim
     return reduced.reshape((d, d), order="F")
 
-
-# ---------------------------------------------------------------------------
-# built-in models
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ModelGrid:
-    """Default time step and long-time reference point of a built-in model."""
-
-    dt: float
-    t_ref: float
-
-
-BUILTIN_MODELS = ("subohmic", "drude_lorentz", "qd_phonon")
-
-
-def builtin_model(name: str) -> tuple[SystemSpec, SpectralDensity, ModelGrid]:
-    """The three stock spin-boson configurations used by the examples.
-
-    * ``subohmic``: driven two-level system, H_S = 0.5 sigma_x, coupling
-      sigma_z/2, J sub-ohmic with s = 0.7, alpha = 0.2, wc = 5, T = 0.
-    * ``drude_lorentz``: biased and driven, H_S = 0.5 (-sigma_z + sigma_x),
-      J Drude-Lorentz with lam = 0.1, gamma = 1.
-    * ``qd_phonon``: same driving pattern (units of 1/ps), super-ohmic
-      acoustic-phonon density of a 4 nm GaAs quantum dot.
-    """
-    if name == "subohmic":
-        system = SystemSpec(h_s=0.5 * PAULI_X, coupling_op=0.5 * PAULI_Z, temperature=0.0)
-        density = SubOhmicDensity(alpha=0.2, s=0.7, omega_c=5.0)
-        grid = ModelGrid(dt=0.08, t_ref=80.0)
-    elif name == "drude_lorentz":
-        system = SystemSpec(
-            h_s=0.5 * (-1.0 * PAULI_Z + 1.0 * PAULI_X),
-            coupling_op=0.5 * PAULI_Z,
-            temperature=0.0,
-        )
-        density = DrudeLorentzDensity(lam=0.1, gamma=1.0)
-        grid = ModelGrid(dt=0.05, t_ref=100.0)
-    elif name == "qd_phonon":
-        system = SystemSpec(
-            h_s=0.5 * (-1.0 * PAULI_Z + 1.0 * PAULI_X),
-            coupling_op=0.5 * PAULI_Z,
-            temperature=0.0,
-        )
-        density = QDPhononDensity(c_e=0.1271, c_h=-0.0635, omega_e=2.555, omega_h=2.938)
-        grid = ModelGrid(dt=0.05, t_ref=100.0)
-    else:
-        raise UnknownModel(f"no built-in model named {name!r}; choose from {BUILTIN_MODELS}")
-    return system, density, grid

@@ -89,9 +89,9 @@ def random_tp_generator(rng, dim, definite=False):
 def subohmic_run():
     """Shared desk-scale sub-ohmic source: eta (kmax=5) plus 500 maps."""
     import dynamap as dm
-    from dynamap.models import builtin_model
 
-    system, bath, _ = builtin_model("subohmic")
+    config = dm.preset_config("subohmic")
+    system, bath = config.system, config.bath
     eta = dm.eta_coefficients(bath, system.temperature, 0.08, 5)
     series = dm.quapi_propagate(system, eta, 500)
     return system, bath, eta, series

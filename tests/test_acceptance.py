@@ -47,7 +47,6 @@ from dynamap.models import (
     SystemSpec,
     TabulatedDensity,
     build_embedding,
-    builtin_model,
     stationary_state,
     support_cutoff,
 )
@@ -318,7 +317,7 @@ def test_criterion_7_dephasing_validation(subohmic_run):
             assert abs(abs(coh[i]) - expected) <= 1e-4 * expected, f"mismatch at t={t}"
 
         # zero coupling reduces to the bare unitary evolution
-        system_drv, _, _ = builtin_model("subohmic")
+        system_drv = preset_config("subohmic").system
         silent = TabulatedDensity(omegas=(0.0, 1.0), values=(0.0, 0.0))
         coeffs0 = eta_coefficients(silent, 0.0, 0.08, 3)
         bare = dm.quapi_propagate(system_drv, coeffs0, 40)

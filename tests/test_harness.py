@@ -113,6 +113,9 @@ class TestConfigValidation:
         for name in ("subohmic", "drude_lorentz", "qd_phonon", "embedding", "lindblad"):
             config = preset_config(name)
             assert config.n_short * config.dt >= max(config.tau_c)
+            again = preset_config(name)  # each call owns its observable and initial state
+            assert not np.shares_memory(config.observable, again.observable)
+            assert not np.shares_memory(config.initial, again.initial)
 
     def test_ini_round_trip(self, tmp_path):
         path = tmp_path / "model.ini"
@@ -315,6 +318,34 @@ class TestConfigReader:
         ini.write_text(text)
         assert cli_main(["singvals", "--config", str(ini), "--out", str(tmp_path / "out")]) == 2
         assert fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, b"[system]\nhz = \xff\xfe\n"],
+                             ids=["directory", "not_utf8"])
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, content):
+        ini = tmp_path / "config.ini"
+        if content is None:
+            ini.mkdir()
+        else:
+            ini.write_bytes(content)
+        assert cli_main(["singvals", "--config", str(ini), "--out", str(tmp_path / "out")]) == 2
+        assert f"config file {str(ini)!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table", [
+        None, "0.0\n1.0\n", "0.0,0.0,1.0\n1.0,0.5,2.0\n", "-1.0,0.7\n1.0,0.0\n",
+        "0.0,0.0\n1.0,nan\n",
+    ], ids=["directory", "one_column", "three_columns", "negative_omega", "nan"])
+    def test_bad_custom_table_exits_2(self, tmp_path, capsys, table):
+        path = tmp_path / "table.csv"
+        if table is None:
+            path.mkdir()
+        else:
+            path.write_text(table)
+        ini = write_ini(tmp_path / "table.ini", {
+            "system": {"preset": "drude_lorentz"}, "bath": {"kind": "custom_table", "path": path},
+        })
+        assert cli_main(["singvals", "--config", ini, "--out", str(tmp_path / "out")]) == 2
+        assert f"table {str(path)!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "singvals.csv").exists()
 
     @pytest.mark.parametrize("preset, section, key, text", [
         ("drude_lorentz", "system", "temperature", "nan"),

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import SX, SZ, bath_correlation
 from dynamap.errors import NegativeFrequency, TruncationGuard, UnknownModel
+from dynamap.harness import preset_config
 from dynamap.maps import pauli, vectorize
 from dynamap.models import (
     DrudeLorentzDensity,
@@ -12,7 +13,6 @@ from dynamap.models import (
     SystemSpec,
     TabulatedDensity,
     build_embedding,
-    builtin_model,
     load_tabulated,
     spectral_density_eval,
     stationary_state,
@@ -59,11 +59,12 @@ class TestSpectralDensities:
         assert spectral_density_eval(sd, 5.0) == 0.0
 
     def test_qd_parameters_as_published(self):
-        _, sd, grid = builtin_model("qd_phonon")
+        config = preset_config("qd_phonon")
+        sd = config.bath
         assert sd.omega_h == pytest.approx(2.938)
         assert sd.c_e == pytest.approx(0.1271)
         assert sd.c_h == pytest.approx(-0.0635)
-        assert grid.dt == pytest.approx(0.05)
+        assert config.dt == pytest.approx(0.05)
 
 
 class TestBathCorrelation:
@@ -203,8 +204,9 @@ class TestSystemAndEmbedding:
 
 class TestBuiltinModels:
     def test_subohmic_grid(self):
-        system, sd, grid = builtin_model("subohmic")
-        assert grid.dt == pytest.approx(0.08)
+        config = preset_config("subohmic")
+        system, sd = config.system, config.bath
+        assert config.dt == pytest.approx(0.08)
         assert sd.s == pytest.approx(0.7)
         assert sd.alpha == pytest.approx(0.2)
         assert sd.omega_c == pytest.approx(5.0)
@@ -213,14 +215,15 @@ class TestBuiltinModels:
         assert system.temperature == 0.0
 
     def test_drude_lorentz_coupling_ratio(self):
-        _, sd, grid = builtin_model("drude_lorentz")
+        config = preset_config("drude_lorentz")
+        sd = config.bath
         assert sd.lam / sd.gamma == pytest.approx(0.1)
-        assert grid.dt == pytest.approx(0.05)
+        assert config.dt == pytest.approx(0.05)
 
     def test_drude_lorentz_bias_and_driving(self):
-        system, _, _ = builtin_model("drude_lorentz")
+        system = preset_config("drude_lorentz").system
         assert np.allclose(system.h_s, 0.5 * (-pauli("z") + pauli("x")))
 
     def test_unknown_model(self):
         with pytest.raises(UnknownModel):
-            builtin_model("critically_damped")
+            preset_config("critically_damped")

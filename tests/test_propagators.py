@@ -18,9 +18,9 @@ from dynamap.models import (
     SystemSpec,
     TabulatedDensity,
     _segments,
-    builtin_model,
 )
 from dynamap import propagators
+from dynamap.harness import preset_config
 from dynamap.propagators import (
     InfluenceCoefficients,
     embedding_propagate,
@@ -415,7 +415,7 @@ class TestEtaCoefficients:
 
 class TestQuapiPropagate:
     def test_zero_coupling_is_bare_unitary(self):
-        system, _, _ = builtin_model("subohmic")
+        system = preset_config("subohmic").system
         coeffs = eta_coefficients(ZERO, 0.0, 0.08, 3)
         series = quapi_propagate(system, coeffs, 40)
         for n in range(1, 41):
@@ -468,7 +468,7 @@ class TestQuapiPropagate:
         assert np.max(np.abs(late)) < 0.02  # decayed
 
     def test_memory_budget_guard(self, monkeypatch):
-        system, _, _ = builtin_model("subohmic")
+        system = preset_config("subohmic").system
         coeffs = InfluenceCoefficients(dt=0.08, kmax=3, eta=np.ones(4, dtype=complex))
         monkeypatch.setattr(propagators, "MEMORY_BUDGET", 100.0)
         with pytest.raises(MemoryBudgetExceeded):
@@ -481,7 +481,7 @@ class TestQuapiPropagate:
         # (the tensor is below np.getbufsize()), two map series and 32 D^4
         # setup; float64 readout scratch for the 4 x 4^2 history rows of the
         # batch, read in one pass, and the ones vector for 4^2 rows
-        system, _, _ = builtin_model("subohmic")
+        system = preset_config("subohmic").system
         coeffs = InfluenceCoefficients(dt=0.08, kmax=3, eta=np.full(4, 0.01, dtype=complex))
         tensor = 4 ** 4
         peak = (16 * (2 * tensor + (4**2 + 4**3) + 4**2 + tensor + (2 * 5 + 32) * 4**2)
@@ -503,7 +503,7 @@ class TestQuapiPropagate:
         # and at most 1.5 times the traced peak once the window has filled.
         # kmax = 3 and 6 run the basis operators as one group, kmax = 8 one
         # at a time
-        system, _, _ = builtin_model("subohmic")
+        system = preset_config("subohmic").system
         coeffs = InfluenceCoefficients(
             dt=0.08, kmax=kmax, eta=np.full(kmax + 1, 0.01, dtype=complex)
         )
@@ -675,7 +675,7 @@ class TestQuapiState:
         # tensor and its spare, the influence tables up to h = 2 and the
         # oldest lag factor, one numpy loop buffer, no map series and 32 D^4
         # setup; float64 readout scratch and ones vector for 4^2 history rows
-        system, _, _ = builtin_model("subohmic")
+        system = preset_config("subohmic").system
         coeffs = InfluenceCoefficients(dt=0.08, kmax=3, eta=np.full(4, 0.01, dtype=complex))
         peak = _dense_peak_bytes(4, 3, 0, batch=1)
         assert peak == (16 * (2 * 4**3 + (4**2 + 4**3) + 4**2 + 4**3 + 32 * 4**2)
@@ -688,7 +688,7 @@ class TestQuapiState:
 
     @pytest.mark.parametrize("kmax", [3, 6])
     def test_memory_budget_bounds_traced_peak_of_state(self, kmax):
-        system, _, _ = builtin_model("subohmic")
+        system = preset_config("subohmic").system
         coeffs = InfluenceCoefficients(
             dt=0.08, kmax=kmax, eta=np.full(kmax + 1, 0.01, dtype=complex)
         )

@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Snapshot the command line of one source tree, for a byte-level identity check.
+
+    python3 tools/cli_snapshot.py TREE OUT
+
+Runs ``python -m dynamap`` from ``TREE/src`` on every preset, every
+``configs/*.ini`` and every ``perfbench/configs/*.ini`` of TREE: ``generate
+--dump-eta``, then ``ttm``, ``tl``, ``rates``, ``singvals`` and ``compare``
+each on a copy of the generated ``--out``, then ``compare`` on a fresh
+``--out``. The invocations run one at a time, from TREE, with BLAS and
+OpenMP pinned to one thread. Each writes under ``OUT/<config>/<step>/``:
+the files it wrote in ``out/``, and ``stdout``, ``stderr`` and ``exit``.
+Two trees behave the same exactly when ``diff -r`` of their snapshots is
+empty.
+"""
+
+from __future__ import annotations
+
+import filecmp
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+PRESETS = ("subohmic", "drude_lorentz", "qd_phonon", "embedding", "lindblad")
+COMMANDS = ("ttm", "tl", "rates", "singvals", "compare")
+CACHE = ("maps.dmap", "maps.key")
+
+
+def configs(tree: Path) -> list[tuple[str, str]]:
+    """(snapshot directory name, --config argument) of every config."""
+    found = [(f"preset-{name}", name) for name in PRESETS]
+    for folder in ("configs", "perfbench/configs"):
+        for ini in sorted((tree / folder).glob("*.ini")):
+            rel = ini.relative_to(tree).as_posix()
+            found.append((rel.replace("/", "-").removesuffix(".ini"), rel))
+    return found
+
+
+def invoke(tree: Path, env: dict, step: Path, args: list[str], seed: Path | None = None) -> None:
+    """Run one command with ``--out step/out``, after copying the map cache
+    of ``seed`` there, and record its stdout, stderr and exit code; the copied
+    cache is removed again where the command left it unchanged."""
+    out = step / "out"
+    out.mkdir(parents=True)
+    for name in CACHE if seed else ():
+        if (seed / name).exists():
+            shutil.copy2(seed / name, out / name)
+    done = subprocess.run([sys.executable, "-m", "dynamap", *args, "--out", str(out)],
+                          cwd=tree, env=env, capture_output=True)
+    for name in CACHE if seed else ():
+        if (out / name).exists() and filecmp.cmp(seed / name, out / name, shallow=False):
+            (out / name).unlink()  # an input, unchanged
+    (step / "stdout").write_bytes(done.stdout)
+    (step / "stderr").write_bytes(done.stderr)
+    (step / "exit").write_text(f"{done.returncode}\n")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    tree, out = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    if not (tree / "src" / "dynamap" / "__init__.py").is_file():
+        print(f"no dynamap source under {tree / 'src'}", file=sys.stderr)
+        return 2
+    if out.exists():
+        print(f"{out} exists; give a new directory", file=sys.stderr)
+        return 2
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    for name, config in configs(tree):
+        base = out / name
+        invoke(tree, env, base / "generate", ["generate", "--dump-eta", "--config", config])
+        for command in COMMANDS:
+            invoke(tree, env, base / command, [command, "--config", config],
+                   seed=base / "generate" / "out")
+        invoke(tree, env, base / "compare-fresh", ["compare", "--config", config])
+        print(f"{name}: done", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

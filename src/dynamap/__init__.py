@@ -47,7 +47,6 @@ from .maps import (
 from .models import (
     DrudeLorentzDensity,
     Embedding,
-    EmbeddingSpec,
     QDPhononDensity,
     SubOhmicDensity,
     SystemSpec,

@@ -26,7 +26,6 @@ from .maps import (
 from .models import (
     DrudeLorentzDensity,
     Embedding,
-    EmbeddingSpec,
     QDPhononDensity,
     SpectralDensity,
     SubOhmicDensity,
@@ -343,11 +342,14 @@ def load_config(path_or_preset: str) -> SweepConfig:
     preset as the base: each given key then replaces exactly one value of
     the preset, and every value not given is the preset's. Without a preset,
     a value not given takes its record's default, and a required key that is
-    missing is a :class:`ConfigError`.
+    missing is a :class:`ConfigError`. A name with no suffix and no
+    directory that is no file is looked up as a preset, so a mistyped one
+    is an :class:`UnknownModel` that lists the presets.
     """
-    if path_or_preset in PRESETS:
-        return preset_config(path_or_preset)
     path = Path(path_or_preset)
+    bare = path.name == path_or_preset and not path.suffix and not path.exists()
+    if path_or_preset in PRESETS or bare:
+        return preset_config(path_or_preset)
     import configparser
 
     # no interpolation: a '%' in a value reaches the key's own parser
@@ -443,13 +445,11 @@ def map_source(config: SweepConfig) -> MapSource:
         return MapSource(partial(quapi_propagate, system, coeffs),
                          partial(quapi_state, system, coeffs), coeffs)
     if isinstance(prop, EmbeddingPropagator):
-        # the propagator holds exactly the mode parameters of the spec
-        emb = build_embedding(EmbeddingSpec(system=system, **asdict(prop)))
+        emb = build_embedding(system, **asdict(prop))
     else:
         identity = np.eye(system.dim**2, dtype=complex)
         generator = lindblad_generator(system.h_s, [_JUMP_OPS[prop.jump]], [prop.rate])
-        emb = Embedding(generator=generator, embed=identity, project=identity,
-                        system_dim=system.dim, mode_dim=1)
+        emb = Embedding(generator, identity, identity)
     return MapSource(partial(embedding_propagate, emb, config.dt),
                      lambda rho0, n: embedding_state(emb, rho0, n * config.dt))
 

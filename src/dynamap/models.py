@@ -7,13 +7,14 @@ hbar = 1; temperatures are energies in the same unit.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NegativeFrequency, TruncationGuard
-from .maps import dissipator_superop, hamiltonian_superop, is_hermitian
+from .maps import devectorize, dissipator_superop, hamiltonian_superop, is_hermitian
 
 __all__ = [
     "SubOhmicDensity",
@@ -22,7 +23,6 @@ __all__ = [
     "TabulatedDensity",
     "SpectralDensity",
     "SystemSpec",
-    "EmbeddingSpec",
     "Embedding",
     "spectral_density_eval",
     "support_cutoff",
@@ -90,10 +90,27 @@ class QDPhononDensity:
 
 @dataclass(frozen=True)
 class TabulatedDensity:
-    """Linear interpolation of (omega, J) samples; zero outside the table."""
+    """Linear interpolation of (omega, J) samples; zero outside the table.
+    The nodes must be at least two, finite, with omega >= 0 and strictly
+    increasing: np.interp reads any other table wrongly."""
 
     omegas: tuple[float, ...]
     values: tuple[float, ...]
+
+    def __post_init__(self):
+        omegas = np.asarray(self.omegas, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if omegas.ndim != 1 or omegas.shape != values.shape:
+            raise ValueError(f"{omegas.size} frequencies for {values.size} values")
+        if omegas.size < 2:
+            raise ValueError(f"{omegas.size} nodes; a table needs at least 2")
+        if not (np.all(np.isfinite(omegas)) and np.all(np.isfinite(values))):
+            raise ValueError("a value is not finite")
+        if np.any(omegas < 0):
+            raise ValueError("a frequency is negative; J is defined for omega >= 0")
+        if np.any(np.diff(omegas) <= 0):
+            raise ValueError("a frequency repeats or is out of order; "
+                             "the nodes must be strictly increasing")
 
     def profile(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -104,17 +121,16 @@ SpectralDensity = SubOhmicDensity | DrudeLorentzDensity | QDPhononDensity | Tabu
 
 
 def load_tabulated(path) -> TabulatedDensity:
-    """Read a two-column (omega, J) CSV into a tabulated density; a table
-    that is not at least two rows of finite values with omega >= 0 is a
-    ValueError."""
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
-    if data.shape[0] < 2 or data.shape[1] != 2:
+    """Read a two-column (omega, J) CSV into a tabulated density, sorted by
+    omega; a file of another shape, or a table that TabulatedDensity
+    refuses, is a ValueError."""
+    with warnings.catch_warnings():
+        # an empty file is refused below, with no warning ahead of the error
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
+    if data.shape[1] != 2:
         raise ValueError(f"{data.shape[0]} rows of {data.shape[1]} columns; "
                          "expected at least 2 rows of 2 columns (omega, J)")
-    if not np.all(np.isfinite(data)):
-        raise ValueError("a value is not finite")
-    if np.any(data[:, 0] < 0):
-        raise ValueError("a frequency is negative; J is defined for omega >= 0")
     order = np.argsort(data[:, 0])
     return TabulatedDensity(
         omegas=tuple(float(x) for x in data[order, 0]),
@@ -222,43 +238,32 @@ class SystemSpec:
 
 
 @dataclass(frozen=True)
-class EmbeddingSpec:
-    """System plus one damped bosonic mode: H = H_S + W b'b + g (b' + b) O,
-    with a single dissipator sqrt(kappa) b on the truncated Fock space."""
-
-    system: SystemSpec
-    mode_frequency: float
-    coupling: float
-    decay: float
-    n_max: int
-
-
-@dataclass(frozen=True)
 class Embedding:
-    """Extended generator plus the embed / partial-trace maps over the mode;
-    ``mode_dim = 1`` is the semigroup source, with embed = project = identity."""
+    """A linear generator on N extended entries, with ``embed`` (N x D^2)
+    taking vec(rho_S) in and ``project`` (D^2 x N) reading it back out; the
+    semigroup source is N = D^2, with embed = project = identity."""
 
     generator: np.ndarray = field(repr=False)
     embed: np.ndarray = field(repr=False)
     project: np.ndarray = field(repr=False)
-    system_dim: int
-    mode_dim: int
 
 
 #: largest allowed extended dimension D * (n_max + 1)
 MAX_EXTENDED_DIM = 64
 
 
-def build_embedding(spec: EmbeddingSpec) -> Embedding:
-    """Assemble the extended Liouvillian and the vacuum-mode embed/trace maps.
+def build_embedding(system: SystemSpec, mode_frequency: float, coupling: float,
+                    decay: float, n_max: int) -> Embedding:
+    """System plus one damped bosonic mode, H = H_S + W b'b + g (b' + b) O
+    with a single dissipator sqrt(kappa) b, on Fock states 0..n_max.
 
     The embed map sends vec(rho_S) to vec(rho_S (x) |0><0|); the project map
     is the partial trace over the mode. Extended dimensions above
     ``MAX_EXTENDED_DIM`` are refused.
     """
-    d = spec.system.dim
-    m = spec.n_max + 1
-    if spec.n_max < 1:
+    d = system.dim
+    m = n_max + 1
+    if n_max < 1:
         raise ValueError("n_max must be at least 1")
     dext = d * m
     if dext > MAX_EXTENDED_DIM:
@@ -270,12 +275,12 @@ def build_embedding(spec: EmbeddingSpec) -> Embedding:
     eye_d = np.eye(d, dtype=complex)
     eye_m = np.eye(m, dtype=complex)
     h_ext = (
-        np.kron(spec.system.h_s, eye_m)
-        + spec.mode_frequency * np.kron(eye_d, number)
-        + spec.coupling * np.kron(spec.system.coupling_op, lower + lower.conj().T)
+        np.kron(system.h_s, eye_m)
+        + mode_frequency * np.kron(eye_d, number)
+        + coupling * np.kron(system.coupling_op, lower + lower.conj().T)
     )
     mode_op = np.kron(eye_d, lower)
-    gen = hamiltonian_superop(h_ext) + spec.decay * dissipator_superop(mode_op)
+    gen = hamiltonian_superop(h_ext) + decay * dissipator_superop(mode_op)
 
     embed = np.zeros((dext * dext, d * d), dtype=complex)
     project = np.zeros((d * d, dext * dext), dtype=complex)
@@ -284,18 +289,12 @@ def build_embedding(spec: EmbeddingSpec) -> Embedding:
             embed[(j * m) * dext + i * m, j * d + i] = 1.0
             for mm in range(m):
                 project[j * d + i, (j * m + mm) * dext + (i * m + mm)] = 1.0
-    return Embedding(generator=gen, embed=embed, project=project, system_dim=d, mode_dim=m)
+    return Embedding(generator=gen, embed=embed, project=project)
 
 
 def stationary_state(embedding: Embedding) -> np.ndarray:
-    """Reduced system state in the kernel of the extended generator."""
+    """Reduced system state in the kernel of the extended generator: the
+    projected kernel vector over its trace, which projecting keeps."""
     evals, evecs = np.linalg.eig(embedding.generator)
-    idx = int(np.argmax(evals.real))
-    vec = evecs[:, idx]
-    dext = embedding.system_dim * embedding.mode_dim
-    rho_ext = vec.reshape((dext, dext), order="F")
-    rho_ext = rho_ext / np.trace(rho_ext)
-    reduced = embedding.project @ rho_ext.reshape(-1, order="F")
-    d = embedding.system_dim
-    return reduced.reshape((d, d), order="F")
-
+    reduced = devectorize(embedding.project @ evecs[:, int(np.argmax(evals.real))])
+    return reduced / np.trace(reduced)

@@ -1,4 +1,4 @@
-"""Map generators: exact damped-mode embedding and an iterative
+"""Map generators: exact embeddings and an iterative
 influence-functional path-integral propagator for spin-boson baths.
 
 Both produce a :class:`~dynamap.maps.DynamicalMapSeries` by propagating a
@@ -19,14 +19,7 @@ from .errors import (
     QuadratureFailure,
 )
 from .maps import DynamicalMapSeries, devectorize, expm, is_hermitian, vectorize
-from .models import (
-    Embedding,
-    EmbeddingSpec,
-    SpectralDensity,
-    SystemSpec,
-    _segments,
-    build_embedding,
-)
+from .models import Embedding, SpectralDensity, SystemSpec, _segments
 
 __all__ = [
     "InfluenceCoefficients",
@@ -40,24 +33,19 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# damped-mode embedding
+# embeddings
 # ---------------------------------------------------------------------------
 
-def embedding_propagate(
-    spec: EmbeddingSpec | Embedding,
-    dt: float,
-    n_steps: int,
-) -> DynamicalMapSeries:
-    """Reduced maps E(t_n, 0) from the extended generator.
+def embedding_propagate(emb: Embedding, dt: float, n_steps: int) -> DynamicalMapSeries:
+    """Reduced maps E(t_n, 0) = project expm(G t_n) embed.
 
     The single-step extended propagator is exponentiated once and powered;
-    the mode starts in its vacuum state and is traced out per step. Exact to
-    matrix-exponential precision.
+    each step is read out by ``project``. Exact to matrix-exponential
+    precision.
     """
-    emb = spec if isinstance(spec, Embedding) else build_embedding(spec)
     step = expm(emb.generator, dt)
     x = emb.embed
-    d2 = emb.system_dim**2
+    d2 = x.shape[1]
     out = np.empty((n_steps, d2, d2), dtype=complex)
     for n in range(n_steps):
         x = step @ x
@@ -72,11 +60,8 @@ def extended_spectrum(emb: Embedding) -> np.ndarray:
 
 def embedding_state(emb: Embedding, rho0: np.ndarray, t: float) -> np.ndarray:
     """Exact reduced state at an arbitrary time, without grid powering."""
-    vec = np.asarray(rho0, dtype=complex).reshape(-1, order="F")
-    ext = expm(emb.generator, t) @ (emb.embed @ vec)
-    red = emb.project @ ext
-    d = emb.system_dim
-    return red.reshape((d, d), order="F")
+    ext = expm(emb.generator, t) @ (emb.embed @ vectorize(rho0))
+    return devectorize(emb.project @ ext)
 
 
 # ---------------------------------------------------------------------------

@@ -107,44 +107,48 @@ def read_local_series(path, sv_ratios, flagged):
 # CSV
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    """One CSV field: empty, true/false, an integer, or a round-trip float."""
-    if x is None:
-        return ""
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    return repr(float(x))
+def _fields(column, empty=None) -> list[str]:
+    """One CSV column, formatted once: true/false for booleans, else each
+    value's repr as a Python number (an integer as such, a float round-trip
+    exact); rows where the mask ``empty`` is true are left empty."""
+    values = np.asarray(column)
+    if values.dtype == bool:
+        fields = ["true" if v else "false" for v in values.tolist()]
+    else:
+        fields = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(empty) if empty is not None else ():
+        fields[i] = ""
+    return fields
 
 
-def _write_csv(path, header, rows) -> None:
-    """Header line, then one line of formatted fields per row."""
+def _write_csv(path, header, columns) -> None:
+    """Header line, then one line per row of the formatted ``columns``."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def write_local_flags(path, local) -> None:
     """Sidecar for local-map singularity diagnostics."""
-    rows = zip(range(len(local)), local.times, local.sv_ratios, local.flagged)
-    _write_csv(path, ("n", "t", "sigma_min_over_max", "flagged"), rows)
+    columns = (range(len(local)), local.times, local.sv_ratios, local.flagged)
+    _write_csv(path, ("n", "t", "sigma_min_over_max", "flagged"), map(_fields, columns))
 
 
 def write_profile_csv(path, times, values, value_column: str) -> None:
-    _write_csv(path, ("t", value_column), zip(times, values))
+    _write_csv(path, ("t", value_column), map(_fields, (times, values)))
 
 
 def write_compare_csv(path, result) -> None:
     """One row per cutoff of a :class:`~dynamap.harness.CompareResult`."""
     header = ("tau_c", "err_ttm", "err_tl", "tl_flagged", "tl_spectral_stable",
               "tdist_ttm", "tdist_tl")
-    _write_csv(path, header, ((getattr(row, name) for name in header) for row in result.rows))
+    _write_csv(path, header,
+               (_fields([getattr(row, name) for row in result.rows]) for name in header))
 
 
 def write_singvals_csv(path, times: np.ndarray, sv_table: np.ndarray) -> None:
     header = ("t", *(f"sv_{i + 1}" for i in range(sv_table.shape[1])))
-    _write_csv(path, header, ((t, *row) for t, row in zip(times, sv_table)))
+    _write_csv(path, header, map(_fields, (times, *sv_table.T)))
 
 
 def write_rates_csv(path, rates) -> None:
@@ -152,12 +156,11 @@ def write_rates_csv(path, rates) -> None:
     leave every numeric field but t empty."""
     n_rates = rates.rates.shape[1]
     header = ("t", *(f"gamma_{i + 1}" for i in range(n_rates)), "min_rate", "flagged")
-    empty = (None,) * (n_rates + 1)  # the rates and min_rate
-    rows = zip(rates.times, rates.rates, rates.min_rate, rates.flagged)
-    _write_csv(path, header, ((t, *empty, True) if flagged else (t, *gammas, low, False)
-                              for t, gammas, low, flagged in rows))
+    numeric = (_fields(column, rates.flagged) for column in (*rates.rates.T, rates.min_rate))
+    _write_csv(path, header, (_fields(rates.times), *numeric, _fields(rates.flagged)))
 
 
 def write_eta_csv(path, coeffs) -> None:
     """Influence coefficients eta_k as ``k,re,im``."""
-    _write_csv(path, ("k", "re", "im"), ((k, v.real, v.imag) for k, v in enumerate(coeffs.eta)))
+    eta = coeffs.eta
+    _write_csv(path, ("k", "re", "im"), map(_fields, (range(len(eta)), eta.real, eta.imag)))

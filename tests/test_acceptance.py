@@ -42,7 +42,6 @@ from dynamap.errors import DegenerateRates
 from dynamap.harness import preset_config, run_compare
 from dynamap.maps import DynamicalMapSeries, devectorize, expm, pauli, vectorize
 from dynamap.models import (
-    EmbeddingSpec,
     SubOhmicDensity,
     SystemSpec,
     TabulatedDensity,
@@ -190,10 +189,7 @@ def test_criterion_4_stationarity_before_equilibration():
     with report(4, "stationary maps while the state still evolves"):
         start = time.perf_counter()
         system = SystemSpec(h_s=0.5 * pauli("x"), coupling_op=0.5 * pauli("z"))
-        spec = EmbeddingSpec(
-            system=system, mode_frequency=1.0, coupling=0.4, decay=2.0, n_max=6
-        )
-        emb = build_embedding(spec)
+        emb = build_embedding(system, mode_frequency=1.0, coupling=0.4, decay=2.0, n_max=6)
 
         # the maps converge at r5 - r4, sigma_z relaxes at r2
         rates = np.sort(-extended_spectrum(emb).real)

@@ -347,6 +347,32 @@ class TestConfigReader:
         assert f"table {str(path)!r}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "singvals.csv").exists()
 
+    def test_repeated_omega_table_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "table.csv"
+        path.write_text("0.0,0.0\n1.0,0.5\n1.0,0.4\n2.0,0.0\n")
+        ini = write_ini(tmp_path / "table.ini", {
+            "system": {"preset": "drude_lorentz"}, "bath": {"kind": "custom_table", "path": path},
+        })
+        assert cli_main(["singvals", "--config", ini, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"table {str(path)!r}" in err and "strictly increasing" in err
+
+    def test_empty_table_prints_only_the_config_error(self, tmp_path):
+        # a fresh interpreter: pytest records warnings instead of printing them
+        path = tmp_path / "table.csv"
+        path.write_text("")
+        ini = write_ini(tmp_path / "table.ini", {
+            "system": {"preset": "drude_lorentz"}, "bath": {"kind": "custom_table", "path": path},
+        })
+        done = subprocess.run(
+            [sys.executable, "-m", "dynamap", "singvals", "--config", ini,
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert done.returncode == 2
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"configuration error: [bath] table {str(path)!r}")
+
     @pytest.mark.parametrize("preset, section, key, text", [
         ("drude_lorentz", "system", "temperature", "nan"),
         ("drude_lorentz", "system", "temperature", "inf"),
@@ -516,6 +542,18 @@ class TestCli:
     def test_unknown_preset_exits_2(self, tmp_path, capsys):
         code = cli_main(["compare", "--config", "not_a_model", "--out", str(tmp_path)])
         assert code == 2
+
+    def test_mistyped_preset_name_lists_the_presets(self, tmp_path, capsys):
+        assert cli_main(["singvals", "--config", "subohmc", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "no preset named 'subohmc'" in err
+        assert all(repr(name) in err for name in harness.PRESETS)
+
+    @pytest.mark.parametrize("name", ["foo.ini", "configs/subohmc"])
+    def test_missing_config_file_names_the_file(self, tmp_path, capsys, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["singvals", "--config", name, "--out", "out"]) == 2
+        assert f"config file {name!r}: No such file or directory" in capsys.readouterr().err
 
     def test_flagged_cutoffs_exit_3(self, tmp_path):
         ini = tmp_path / "flagged.ini"

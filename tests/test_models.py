@@ -7,7 +7,6 @@ from dynamap.harness import preset_config
 from dynamap.maps import pauli, vectorize
 from dynamap.models import (
     DrudeLorentzDensity,
-    EmbeddingSpec,
     QDPhononDensity,
     SubOhmicDensity,
     SystemSpec,
@@ -57,6 +56,23 @@ class TestSpectralDensities:
         sd = load_tabulated(path)
         assert spectral_density_eval(sd, 0.5) == pytest.approx(0.25)
         assert spectral_density_eval(sd, 5.0) == 0.0
+
+    @pytest.mark.parametrize("omegas, values", [
+        ((2.0, 0.0, 1.0), (0.0, 0.0, 0.5)), ((-1.0, 1.0), (0.7, 0.0)),
+        ((0.0, 1.0, 1.0), (0.0, 0.5, 0.2)), ((0.0, 1.0), (0.0, 0.5, 0.0)), ((1.0,), (0.5,)),
+        ((0.0, np.inf), (0.0, 0.5)), ((0.0, 1.0), (0.0, np.nan)),
+    ], ids=["unsorted", "negative_omega", "repeated_omega", "unequal_lengths", "one_node",
+            "infinite_omega", "nan_value"])
+    def test_tabulated_density_refuses_bad_tables(self, omegas, values):
+        with pytest.raises(ValueError):
+            TabulatedDensity(omegas=omegas, values=values)
+
+    def test_tabulated_file_is_sorted(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("2.0,0.0\n0.0,0.0\n1.0,0.5\n")
+        sd = load_tabulated(path)
+        assert sd.omegas == (0.0, 1.0, 2.0)
+        assert spectral_density_eval(sd, np.array([0.5, 1.0, 1.5])) == pytest.approx([0.25, 0.5, 0.25])
 
     def test_qd_parameters_as_published(self):
         config = preset_config("qd_phonon")
@@ -133,22 +149,17 @@ class TestSystemAndEmbedding:
 
     def test_truncation_guard(self):
         system = SystemSpec(h_s=0.5 * SX, coupling_op=0.5 * SZ)
-        spec = EmbeddingSpec(system=system, mode_frequency=1.0, coupling=0.1, decay=1.0, n_max=40)
         with pytest.raises(TruncationGuard):
-            build_embedding(spec)
+            build_embedding(system, mode_frequency=1.0, coupling=0.1, decay=1.0, n_max=40)
 
     def test_project_inverts_embed(self):
         system = SystemSpec(h_s=0.5 * SX, coupling_op=0.5 * SZ)
-        emb = build_embedding(
-            EmbeddingSpec(system=system, mode_frequency=1.0, coupling=0.3, decay=0.5, n_max=3)
-        )
+        emb = build_embedding(system, mode_frequency=1.0, coupling=0.3, decay=0.5, n_max=3)
         assert np.allclose(emb.project @ emb.embed, np.eye(4))
 
     def test_decoupled_mode_stationary_state_annihilated(self):
         system = SystemSpec(h_s=0.5 * SX, coupling_op=0.5 * SZ)
-        emb = build_embedding(
-            EmbeddingSpec(system=system, mode_frequency=1.0, coupling=0.0, decay=0.7, n_max=4)
-        )
+        emb = build_embedding(system, mode_frequency=1.0, coupling=0.0, decay=0.7, n_max=4)
         vacuum = np.zeros((5, 5), dtype=complex)
         vacuum[0, 0] = 1.0
         steady = np.kron(np.eye(2) / 2.0, vacuum)
@@ -162,9 +173,7 @@ class TestSystemAndEmbedding:
 
         system = SystemSpec(h_s=np.zeros((2, 2)), coupling_op=0.5 * SZ)
         g, mode_w, kappa, n_max = 0.3, 1.0, 0.8, 12
-        emb = build_embedding(
-            EmbeddingSpec(system=system, mode_frequency=mode_w, coupling=g, decay=kappa, n_max=n_max)
-        )
+        emb = build_embedding(system, mode_frequency=mode_w, coupling=g, decay=kappa, n_max=n_max)
         dext = 2 * (n_max + 1)
         rho0 = np.array([[1, 0], [0, 0]], dtype=complex)
         vec = expm(emb.generator, 200.0) @ (emb.embed @ vectorize(rho0))
@@ -184,19 +193,15 @@ class TestSystemAndEmbedding:
         system = SystemSpec(h_s=0.5 * SX, coupling_op=0.5 * SZ)
         tails = []
         for kappa in (10.0, 25.0, 50.0):
-            spec = EmbeddingSpec(
-                system=system, mode_frequency=1.0, coupling=1.0, decay=kappa, n_max=8
-            )
-            series = embedding_propagate(spec, 0.05, 60)
+            emb = build_embedding(system, mode_frequency=1.0, coupling=1.0, decay=kappa, n_max=8)
+            series = embedding_propagate(emb, 0.05, 60)
             tensors = decompose(series)
             tails.append(float(np.sum(tensors.norms[1:])))
         assert tails[0] > tails[1] > tails[2]
 
     def test_stationary_state_unit_trace(self):
         system = SystemSpec(h_s=0.5 * SX, coupling_op=0.5 * SZ)
-        emb = build_embedding(
-            EmbeddingSpec(system=system, mode_frequency=1.0, coupling=0.4, decay=0.5, n_max=6)
-        )
+        emb = build_embedding(system, mode_frequency=1.0, coupling=0.4, decay=0.5, n_max=6)
         rho = stationary_state(emb)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-10

@@ -12,12 +12,12 @@ from dynamap.errors import MemoryBudgetExceeded, NonDiagonalizableCoupling, Quad
 from dynamap.maps import expm, is_trace_preserving, vectorize, devectorize
 from dynamap.models import (
     DrudeLorentzDensity,
-    EmbeddingSpec,
     QDPhononDensity,
     SubOhmicDensity,
     SystemSpec,
     TabulatedDensity,
     _segments,
+    build_embedding,
 )
 from dynamap import propagators
 from dynamap.harness import preset_config
@@ -147,8 +147,8 @@ def assert_readout_rounded_once(tensor, k_half):
 class TestEmbeddingPropagate:
     def test_decoupled_mode_gives_bare_unitary(self):
         system = SystemSpec(h_s=0.5 * SX, coupling_op=0.5 * SZ)
-        spec = EmbeddingSpec(system=system, mode_frequency=1.0, coupling=0.0, decay=0.5, n_max=4)
-        series = embedding_propagate(spec, 0.1, 30)
+        emb = build_embedding(system, mode_frequency=1.0, coupling=0.0, decay=0.5, n_max=4)
+        series = embedding_propagate(emb, 0.1, 30)
         for n in range(1, 31):
             u = expm(-1j * system.h_s, n * 0.1)
             assert np.max(np.abs(series.maps[n - 1] - np.kron(u.conj(), u))) < 1e-12
@@ -157,9 +157,7 @@ class TestEmbeddingPropagate:
         from dynamap.models import build_embedding
 
         system = SystemSpec(h_s=0.5 * SX, coupling_op=0.5 * SZ)
-        emb = build_embedding(
-            EmbeddingSpec(system=system, mode_frequency=1.0, coupling=0.4, decay=0.5, n_max=6)
-        )
+        emb = build_embedding(system, mode_frequency=1.0, coupling=0.4, decay=0.5, n_max=6)
         dt = 0.1
         series = embedding_propagate(emb, dt, 60)
         for n in (1, 7, 23, 60):
@@ -171,17 +169,15 @@ class TestEmbeddingPropagate:
         from dynamap.models import build_embedding
 
         system = SystemSpec(h_s=0.5 * SX, coupling_op=0.5 * SZ)
-        emb = build_embedding(
-            EmbeddingSpec(system=system, mode_frequency=1.0, coupling=0.4, decay=0.5, n_max=6)
-        )
+        emb = build_embedding(system, mode_frequency=1.0, coupling=0.4, decay=0.5, n_max=6)
         series = embedding_propagate(emb, 0.1, 40)
         composed = series.maps[19] @ series.maps[19]
         assert np.max(np.abs(series.maps[39] - composed)) > 1e-6
 
     def test_trace_and_hermiticity_preserved(self):
         system = SystemSpec(h_s=0.5 * SX, coupling_op=0.5 * SZ)
-        spec = EmbeddingSpec(system=system, mode_frequency=1.0, coupling=0.4, decay=0.5, n_max=6)
-        series = embedding_propagate(spec, 0.1, 40)
+        emb = build_embedding(system, mode_frequency=1.0, coupling=0.4, decay=0.5, n_max=6)
+        series = embedding_propagate(emb, 0.1, 40)
         rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]], dtype=complex)
         for m in series.maps:
             assert is_trace_preserving(m, 1e-10)
@@ -192,13 +188,61 @@ class TestEmbeddingPropagate:
         from dynamap.models import build_embedding
 
         system = SystemSpec(h_s=0.5 * SX, coupling_op=0.5 * SZ)
-        emb = build_embedding(
-            EmbeddingSpec(system=system, mode_frequency=1.0, coupling=0.4, decay=0.5, n_max=6)
-        )
+        emb = build_embedding(system, mode_frequency=1.0, coupling=0.4, decay=0.5, n_max=6)
         series = embedding_propagate(emb, 0.1, 50)
         direct = embedding_state(emb, EXCITED, 5.0)
         powered = devectorize(series.maps[49] @ vectorize(EXCITED))
         assert np.max(np.abs(direct - powered)) < 1e-10
+
+
+def two_block_embedding(upper: float, lower: float, gamma: float = 0.7):
+    """An Embedding on N = 8 entries that is no system (x) mode product: a
+    qubit Lindbladian L in the first 4 x 4 block, L - gamma I in the second,
+    seeded couplings of size ``upper`` (second block into the first) and
+    ``lower`` (first into the second); embed = [I; 0], project = [I, 0]."""
+    from dynamap.maps import lindblad_generator
+    from dynamap.models import Embedding
+
+    sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    lind = lindblad_generator(0.5 * SX + 0.3 * SZ, [sm, SZ], [0.4, 0.1])
+    rng = np.random.default_rng(7)
+    blocks = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+    generator = np.block([[lind, upper * blocks[0]], [lower * blocks[1], lind - gamma * np.eye(4)]])
+    eye = np.eye(4, dtype=complex)
+    zero = np.zeros((4, 4), dtype=complex)
+    return lind, Embedding(generator, np.vstack([eye, zero]), np.hstack([eye, zero]))
+
+
+class TestEmbeddingBeyondProductSpace:
+    def test_maps_and_state_from_generator_embed_project(self):
+        from scipy.linalg import expm as scipy_expm
+
+        lind, emb = two_block_embedding(upper=0.3, lower=0.3)
+        dt, n_steps = 0.1, 50
+        series = embedding_propagate(emb, dt, n_steps)
+        assert series.maps.shape == (n_steps, 4, 4)
+        for n in (1, 9, 27, 50):
+            direct = emb.project @ scipy_expm(emb.generator * (n * dt)) @ emb.embed
+            assert np.max(np.abs(series.maps[n - 1] - direct)) < 1e-10
+        # the second block feeds back, so the maps are not L's semigroup
+        assert np.max(np.abs(series.maps[-1] - scipy_expm(lind * (n_steps * dt)))) > 1e-3
+        state = embedding_state(emb, EXCITED, n_steps * dt)
+        powered = devectorize(series.maps[-1] @ vectorize(EXCITED))
+        assert state.shape == (2, 2)
+        assert np.max(np.abs(state - powered)) < 1e-10
+
+    @pytest.mark.parametrize("upper,lower", [(0.3, 0.0), (0.0, 0.3)])
+    def test_stationary_state_is_that_of_the_first_block(self, upper, lower):
+        from scipy.linalg import null_space
+
+        from dynamap.models import stationary_state
+
+        lind, emb = two_block_embedding(upper, lower)
+        kernel = devectorize(null_space(lind)[:, 0])
+        expected = kernel / np.trace(kernel)
+        rho = stationary_state(emb)
+        assert np.max(np.abs(rho - expected)) < 1e-10
+        assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
 
 
 def window_integral(sd, temperature, dt, k):
@@ -710,9 +754,7 @@ class TestStationarityBeforeEquilibration:
         system = SystemSpec(h_s=0.5 * SX, coupling_op=0.5 * SZ)
         from dynamap.models import build_embedding
 
-        emb = build_embedding(
-            EmbeddingSpec(system=system, mode_frequency=1.0, coupling=0.1, decay=2.0, n_max=6)
-        )
+        emb = build_embedding(system, mode_frequency=1.0, coupling=0.1, decay=2.0, n_max=6)
         dt = 0.1
         series = embedding_propagate(emb, dt, 600)
         local = dm.local_maps(series)

@@ -10,7 +10,7 @@ from dynamap.maps import (
     pauli,
     vectorize,
 )
-from dynamap.models import EmbeddingSpec, SystemSpec, build_embedding
+from dynamap.models import SystemSpec, build_embedding
 from dynamap.propagators import embedding_propagate, extended_spectrum
 from dynamap.timelocal import (
     extrapolate_tl,
@@ -81,8 +81,7 @@ class TestStationarityProfile:
         # weakly coupled fast mode: single-step maps converge at the mode
         # decay rate while the system itself relaxes much more slowly
         system = SystemSpec(h_s=0.5 * pauli("x"), coupling_op=0.5 * pauli("z"))
-        spec = EmbeddingSpec(system=system, mode_frequency=1.0, coupling=0.1, decay=2.0, n_max=6)
-        emb = build_embedding(spec)
+        emb = build_embedding(system, mode_frequency=1.0, coupling=0.1, decay=2.0, n_max=6)
         series = embedding_propagate(emb, 0.1, 400)
         local = local_maps(series)
         _, diffs = stationarity_profile(local)
@@ -93,8 +92,7 @@ class TestStationarityProfile:
 
     def test_convergence_rate_set_by_slowest_discarded_mode(self):
         system = SystemSpec(h_s=0.5 * pauli("x"), coupling_op=0.5 * pauli("z"))
-        spec = EmbeddingSpec(system=system, mode_frequency=1.0, coupling=0.1, decay=2.0, n_max=6)
-        emb = build_embedding(spec)
+        emb = build_embedding(system, mode_frequency=1.0, coupling=0.1, decay=2.0, n_max=6)
         series = embedding_propagate(emb, 0.1, 200)
         local = local_maps(series)
         times, diffs = stationarity_profile(local)

@@ -7,9 +7,13 @@ Runs ``python -m dynamap`` from ``TREE/src`` on every preset, every
 ``configs/*.ini`` and every ``perfbench/configs/*.ini`` of TREE: ``generate
 --dump-eta``, then ``ttm``, ``tl``, ``rates``, ``singvals`` and ``compare``
 each on a copy of the generated ``--out``, then ``compare`` on a fresh
-``--out``. The invocations run one at a time, from TREE, with BLAS and
-OpenMP pinned to one thread. Each writes under ``OUT/<config>/<step>/``:
-the files it wrote in ``out/``, and ``stdout``, ``stderr`` and ``exit``.
+``--out``. Two bad inputs follow, each under ``singvals``: the mistyped
+preset name ``subohmc``, and an INI whose ``custom_table`` is an empty file
+(both written to ``OUT/inputs/``, and run from there so that no message
+holds OUT). The invocations run one at a time, from TREE unless said
+otherwise, with BLAS and OpenMP pinned to one thread. Each writes under
+``OUT/<config>/<step>/``: the files it wrote in ``out/``, and ``stdout``,
+``stderr`` and ``exit``.
 Two trees behave the same exactly when ``diff -r`` of their snapshots is
 empty.
 """
@@ -26,6 +30,7 @@ from pathlib import Path
 PRESETS = ("subohmic", "drude_lorentz", "qd_phonon", "embedding", "lindblad")
 COMMANDS = ("ttm", "tl", "rates", "singvals", "compare")
 CACHE = ("maps.dmap", "maps.key")
+EMPTY_TABLE_INI = "[system]\npreset = drude_lorentz\n\n[bath]\nkind = custom_table\npath = empty.csv\n"
 
 
 def configs(tree: Path) -> list[tuple[str, str]]:
@@ -38,17 +43,19 @@ def configs(tree: Path) -> list[tuple[str, str]]:
     return found
 
 
-def invoke(tree: Path, env: dict, step: Path, args: list[str], seed: Path | None = None) -> None:
-    """Run one command with ``--out step/out``, after copying the map cache
-    of ``seed`` there, and record its stdout, stderr and exit code; the copied
-    cache is removed again where the command left it unchanged."""
+def invoke(tree: Path, env: dict, step: Path, args: list[str], seed: Path | None = None,
+           cwd: Path | None = None) -> None:
+    """Run one command from ``cwd`` (default TREE) with ``--out step/out``,
+    after copying the map cache of ``seed`` there, and record its stdout,
+    stderr and exit code; the copied cache is removed again where the
+    command left it unchanged."""
     out = step / "out"
     out.mkdir(parents=True)
     for name in CACHE if seed else ():
         if (seed / name).exists():
             shutil.copy2(seed / name, out / name)
     done = subprocess.run([sys.executable, "-m", "dynamap", *args, "--out", str(out)],
-                          cwd=tree, env=env, capture_output=True)
+                          cwd=cwd or tree, env=env, capture_output=True)
     for name in CACHE if seed else ():
         if (out / name).exists() and filecmp.cmp(seed / name, out / name, shallow=False):
             (out / name).unlink()  # an input, unchanged
@@ -78,6 +85,13 @@ def main(argv: list[str]) -> int:
                    seed=base / "generate" / "out")
         invoke(tree, env, base / "compare-fresh", ["compare", "--config", config])
         print(f"{name}: done", file=sys.stderr)
+    inputs = out / "inputs"
+    inputs.mkdir()
+    (inputs / "empty.csv").write_text("")
+    (inputs / "empty_table.ini").write_text(EMPTY_TABLE_INI)
+    invoke(tree, env, out / "bad-preset-name" / "singvals", ["singvals", "--config", "subohmc"])
+    invoke(tree, env, out / "bad-empty-table" / "singvals",
+           ["singvals", "--config", "empty_table.ini"], cwd=inputs)
     return 0
 
 

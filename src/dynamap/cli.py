@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import harness, serialization
-from .errors import ConfigError, DynamapError, UnknownModel
+from .errors import ConfigError, DimensionMismatch, DynamapError, UnknownModel
 from .harness import SweepConfig
 from .lindblad import rate_series
 from .maps import DynamicalMapSeries, singular_values
@@ -60,13 +60,16 @@ def _obtain_series(
     config: SweepConfig, out: Path, source: harness.MapSource | None = None
 ) -> DynamicalMapSeries:
     """The first ``n_short`` maps: those ``generate`` left in ``out`` when
-    its ``maps.key`` matches this config, otherwise generated by ``source``,
-    or by a source built here on that miss when the caller has none."""
-    cached, key = out / "maps.dmap", out / "maps.key"
-    if cached.exists() and key.exists() and key.read_text().strip() == harness.maps_key(config):
-        series = serialization.read_map_series(cached)
-        if len(series) >= config.n_short:
-            return series.head(config.n_short)
+    the bytes of its ``maps.key`` are this config's key, otherwise generated
+    by ``source``, or by a source built here when the caller has none. A
+    cache that cannot be read is a miss."""
+    try:
+        if (out / "maps.key").read_bytes() == (harness.maps_key(config) + "\n").encode():
+            series = serialization.read_map_series(out / "maps.dmap")
+            if len(series) >= config.n_short:
+                return series.head(config.n_short)
+    except (OSError, DimensionMismatch):
+        pass
     return (source or harness.map_source(config)).maps(config.n_short)
 
 

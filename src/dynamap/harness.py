@@ -455,16 +455,14 @@ def map_source(config: SweepConfig) -> MapSource:
 
 
 def maps_key(config: SweepConfig) -> str:
-    """sha256 hex digest of everything that shapes the generated maps: the
-    system operators (as raw bytes, since the numpy repr of an array is not
-    lossless), temperature, bath, propagator and dt."""
-    import hashlib
-
+    """Everything that shapes the generated maps, one item per line: the hex
+    of the raw bytes of the system operators (the numpy repr of an array is
+    not lossless), then the reprs of their shape, the temperature, the bath,
+    the propagator and dt."""
     system = config.system
-    digest = hashlib.sha256(system.h_s.tobytes() + system.coupling_op.tobytes())
-    for part in (system.h_s.shape, system.temperature, config.bath, config.propagator, config.dt):
-        digest.update(f"{part!r}\n".encode())
-    return digest.hexdigest()
+    parts = (system.h_s.shape, system.temperature, config.bath, config.propagator, config.dt)
+    return "\n".join([system.h_s.tobytes().hex(), system.coupling_op.tobytes().hex(),
+                      *map(repr, parts)])
 
 
 # ---------------------------------------------------------------------------

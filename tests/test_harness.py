@@ -19,6 +19,7 @@ from dynamap.harness import (
     SweepConfig,
     load_config,
     map_source,
+    maps_key,
     observable_series,
     preset_config,
     run_compare,
@@ -696,6 +697,59 @@ class TestCli:
         assert cli_main(["ttm", "--config", "lindblad", "--out", str(out)]) == 0
         assert len(calls) == 2
 
+    def test_maps_key_is_the_config_text(self, tmp_path):
+        def hex_of(*entries):
+            return np.array(entries, dtype="<c16").tobytes().hex()
+
+        out = tmp_path / "key"
+        assert cli_main(["generate", "--config", "lindblad", "--out", str(out)]) == 0
+        assert (out / "maps.key").read_text().split("\n") == [
+            hex_of(0, 0.5, 0.5, 0),  # h_s = sigma_x / 2, row by row
+            hex_of(0.5, 0, 0, -0.5),  # coupling_op = sigma_z / 2
+            "(2, 2)",
+            "0.0",
+            "None",
+            "LindbladPropagator(jump='sigma_minus', rate=0.3)",
+            "0.1",
+            "",
+        ]
+        assert (out / "maps.key").read_text() == maps_key(preset_config("lindblad")) + "\n"
+
+    def test_one_ulp_changes_one_line_of_the_key(self):
+        config = preset_config("lindblad")
+        h_s = config.system.h_s.copy()
+        h_s[0, 0] = np.nextafter(0.0, 1.0)
+        moved = {
+            0: replace(config, system=replace(config.system, h_s=h_s)),
+            6: replace(config, dt=np.nextafter(config.dt, 1.0)),
+        }
+        key = maps_key(config).split("\n")
+        for line, other in moved.items():
+            other_key = maps_key(other).split("\n")
+            assert len(key) == len(other_key) == 7
+            assert [i for i in range(7) if key[i] != other_key[i]] == [line]
+
+    @pytest.mark.parametrize("damage", ["key_not_utf8", "key_is_directory", "maps_truncated"])
+    def test_unreadable_cache_is_a_miss(self, tmp_path, damage):
+        def files(folder):
+            return {p.name: p.is_dir() or p.read_bytes() for p in folder.iterdir()}
+
+        out, fresh = tmp_path / "cache", tmp_path / "fresh"
+        assert cli_main(["generate", "--config", "lindblad", "--out", str(out)]) == 0
+        if damage == "key_not_utf8":
+            (out / "maps.key").write_bytes(b"\xff\xfe")
+        elif damage == "key_is_directory":
+            (out / "maps.key").unlink()
+            (out / "maps.key").mkdir()
+        else:
+            (out / "maps.dmap").write_bytes((out / "maps.dmap").read_bytes()[:100])
+        damaged = files(out)
+        assert cli_main(["singvals", "--config", "lindblad", "--out", str(out)]) == 0
+        assert cli_main(["singvals", "--config", "lindblad", "--out", str(fresh)]) == 0
+        # what a fresh run writes, and the damaged cache left as it was:
+        # generate is its only writer
+        assert files(out) == {**damaged, **files(fresh)}
+
     def test_compare_reuses_generated_quapi_maps(self, tmp_path, monkeypatch):
         # t_ref = 2.0 lies past n_short dt = 0.8: compare reads its reference
         # from a propagated state, so the n_short maps of generate suffice
@@ -741,8 +795,9 @@ class TestCli:
         assert (fresh / "compare.csv").read_text() == cached
 
     def test_load_config_loads_no_unused_modules(self):
-        # hashlib (maps_key), configparser (INI files) and the lindblad module
-        # load on first use; the package still exports the lindblad names
+        # no module of the package imports hashlib (maps_key is plain text);
+        # configparser (INI files) and the lindblad module load on first use,
+        # and the package still exports the lindblad names
         probe = (
             "import json, sys\nimport dynamap as dm\n"
             "for name in ('subohmic', 'embedding', 'lindblad'):\n    dm.load_config(name)\n"
@@ -751,6 +806,18 @@ class TestCli:
             "assert dm.rate_series.__module__ == 'dynamap.lindblad'\n"
             "assert dm.CanonicalForm is sys.modules['dynamap.lindblad'].CanonicalForm\n"
         )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == []
+
+    def test_pipeline_loads_no_hashlib(self, tmp_path):
+        out = str(tmp_path / "maps")
+        probe = "import json, sys\nfrom dynamap.cli import main\n" + "".join(
+            f"assert main([{cmd!r}, '--config', 'lindblad', '--out', {out!r}]) == 0\n"
+            for cmd in ("generate", "ttm", "tl", "rates", "singvals", "compare")
+        ) + "print(json.dumps([m for m in ('hashlib', '_hashlib') if m in sys.modules]))"
         done = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
         )

@@ -10,8 +10,12 @@ each on a copy of the generated ``--out``, then ``compare`` on a fresh
 ``--out``. Two bad inputs follow, each under ``singvals``: the mistyped
 preset name ``subohmc``, and an INI whose ``custom_table`` is an empty file
 (both written to ``OUT/inputs/``, and run from there so that no message
-holds OUT). The invocations run one at a time, from TREE unless said
-otherwise, with BLAS and OpenMP pinned to one thread. Each writes under
+holds OUT). Three damaged map caches follow, each under ``singvals`` on the
+``lindblad`` preset: copies (in ``OUT/inputs/<damage>/``) of that preset's
+generated cache whose ``maps.key`` holds bytes that are not UTF-8, whose
+``maps.key`` is a directory, or whose ``maps.dmap`` is cut to 100 bytes.
+The invocations run one at a time, from TREE unless said otherwise, with
+BLAS and OpenMP pinned to one thread. Each writes under
 ``OUT/<config>/<step>/``: the files it wrote in ``out/``, and ``stdout``,
 ``stderr`` and ``exit``.
 Two trees behave the same exactly when ``diff -r`` of their snapshots is
@@ -31,6 +35,19 @@ PRESETS = ("subohmic", "drude_lorentz", "qd_phonon", "embedding", "lindblad")
 COMMANDS = ("ttm", "tl", "rates", "singvals", "compare")
 CACHE = ("maps.dmap", "maps.key")
 EMPTY_TABLE_INI = "[system]\npreset = drude_lorentz\n\n[bath]\nkind = custom_table\npath = empty.csv\n"
+DAMAGES = ("key-not-utf8", "key-is-directory", "maps-truncated")
+
+
+def damage(cache: Path, how: str) -> None:
+    """Damage the map cache in ``cache`` the way ``how`` (one of DAMAGES) names."""
+    key, maps = cache / "maps.key", cache / "maps.dmap"
+    if how == "key-not-utf8":
+        key.write_bytes(b"\xff\xfe")
+    elif how == "key-is-directory":
+        key.unlink()
+        key.mkdir()
+    else:
+        maps.write_bytes(maps.read_bytes()[:100])
 
 
 def configs(tree: Path) -> list[tuple[str, str]]:
@@ -48,17 +65,22 @@ def invoke(tree: Path, env: dict, step: Path, args: list[str], seed: Path | None
     """Run one command from ``cwd`` (default TREE) with ``--out step/out``,
     after copying the map cache of ``seed`` there, and record its stdout,
     stderr and exit code; the copied cache is removed again where the
-    command left it unchanged."""
+    command left it unchanged (a directory in its place, where still empty)."""
     out = step / "out"
     out.mkdir(parents=True)
     for name in CACHE if seed else ():
-        if (seed / name).exists():
+        if (seed / name).is_dir():
+            (out / name).mkdir()
+        elif (seed / name).exists():
             shutil.copy2(seed / name, out / name)
     done = subprocess.run([sys.executable, "-m", "dynamap", *args, "--out", str(out)],
                           cwd=cwd or tree, env=env, capture_output=True)
     for name in CACHE if seed else ():
-        if (out / name).exists() and filecmp.cmp(seed / name, out / name, shallow=False):
-            (out / name).unlink()  # an input, unchanged
+        copy = out / name
+        if (seed / name).is_dir() and copy.is_dir() and not any(copy.iterdir()):
+            copy.rmdir()
+        elif copy.is_file() and filecmp.cmp(seed / name, copy, shallow=False):
+            copy.unlink()  # an input, unchanged
     (step / "stdout").write_bytes(done.stdout)
     (step / "stderr").write_bytes(done.stderr)
     (step / "exit").write_text(f"{done.returncode}\n")
@@ -92,6 +114,14 @@ def main(argv: list[str]) -> int:
     invoke(tree, env, out / "bad-preset-name" / "singvals", ["singvals", "--config", "subohmc"])
     invoke(tree, env, out / "bad-empty-table" / "singvals",
            ["singvals", "--config", "empty_table.ini"], cwd=inputs)
+    for how in DAMAGES:
+        cache = inputs / how
+        cache.mkdir()
+        for name in CACHE:
+            shutil.copy2(out / "preset-lindblad" / "generate" / "out" / name, cache / name)
+        damage(cache, how)
+        invoke(tree, env, out / f"damaged-{how}" / "singvals",
+               ["singvals", "--config", "lindblad"], seed=cache)
     return 0
 
 

@@ -9,7 +9,7 @@ Subcommands::
     singvals   singular values of the cumulative maps
     compare    full extrapolation-error sweep over the cutoff list
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error or unwritable output, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import harness, serialization
-from .errors import ConfigError, DimensionMismatch, DynamapError, UnknownModel
+from .errors import ConfigError, DimensionMismatch, DynamapError
 from .harness import SweepConfig
 from .lindblad import rate_series
 from .maps import DynamicalMapSeries, singular_values
@@ -168,12 +168,15 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](config, out, args)
-    except (ConfigError, UnknownModel) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except DynamapError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

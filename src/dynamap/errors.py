@@ -62,12 +62,12 @@ class NonDiagonalizableCoupling(DynamapError):
     """System-bath coupling operator cannot be diagonalized by a unitary."""
 
 
-class UnknownModel(DynamapError):
-    """Requested built-in model name does not exist."""
-
-
 class ConfigError(DynamapError):
     """Invalid or inconsistent run configuration."""
+
+
+class UnknownModel(ConfigError):
+    """Requested built-in model name does not exist."""
 
 
 class DegenerateRates(UserWarning):

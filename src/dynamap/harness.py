@@ -135,7 +135,6 @@ _INITIAL_STATES = {
 class SweepConfig:
     """Everything one comparison sweep needs; validated on construction."""
 
-    label: str
     system: SystemSpec
     propagator: QuapiPropagator | EmbeddingPropagator | LindbladPropagator
     dt: float
@@ -220,9 +219,8 @@ def preset_config(name: str) -> SweepConfig:
         raise UnknownModel(
             f"no preset named {name!r}; choose from {sorted(PRESETS)}"
         ) from None
-    return SweepConfig(label=name, system=SystemSpec(h_s=h_s, coupling_op=0.5 * pauli("z")),
-                       bath=bath, propagator=propagator, dt=dt, n_short=n_short,
-                       t_ref=t_ref, tau_c=tau_c)
+    return SweepConfig(system=SystemSpec(h_s=h_s, coupling_op=0.5 * pauli("z")), bath=bath,
+                       propagator=propagator, dt=dt, n_short=n_short, t_ref=t_ref, tau_c=tau_c)
 
 
 def _parse_tau_c(text: str) -> tuple[float, ...]:
@@ -380,8 +378,8 @@ def load_config(path_or_preset: str) -> SweepConfig:
     except ValueError as exc:
         raise ConfigError(f"invalid configuration {path_or_preset!r}: {exc}") from exc
     return _record(SweepConfig, {name: sections[name] for name in ("grid", "extrapolation")},
-                   base, "a config without a preset", label=path.stem, system=system,
-                   bath=bath, propagator=propagator)
+                   base, "a config without a preset", system=system, bath=bath,
+                   propagator=propagator)
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +387,7 @@ def load_config(path_or_preset: str) -> SweepConfig:
 # ---------------------------------------------------------------------------
 
 def observable_series(
-    states: np.ndarray,
-    observable: np.ndarray,
-    dt: float,
-    t0: float = 0.0,
+    states: np.ndarray, observable: np.ndarray, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expectation value Tr(O rho) per step; warns on imaginary residue."""
     observable = np.asarray(observable, dtype=complex)
@@ -407,7 +402,7 @@ def observable_series(
     worst = float(np.max(np.abs(values.imag))) if len(values) else 0.0
     if worst > 1e-8:
         warnings.warn(f"imaginary expectation-value residue {worst:.3e}", stacklevel=2)
-    times = t0 + dt * np.arange(states.shape[0])
+    times = dt * np.arange(states.shape[0])
     return times, values.real
 
 
@@ -486,18 +481,17 @@ class CompareResult:
     stationarity: tuple[np.ndarray, np.ndarray]
     tensor_norms: tuple[np.ndarray, np.ndarray]
     singular_values: tuple[np.ndarray, np.ndarray]
-    exact_value: float
 
 
-def _expectation(state: np.ndarray, observable: np.ndarray) -> float:
-    return float(np.trace(observable @ state).real)
+def _last_value(states: np.ndarray, config: SweepConfig) -> float:
+    """<O> in the last of ``states``, as :func:`observable_series` gives it."""
+    return float(observable_series(states[-1:], config.observable, config.dt)[1][0])
 
 
 def _compare_one(tensors, local, tau, config, exact_val, exact_state) -> CompareRow:
     k = config.cutoff_steps(tau)
     ttm_states = extrapolate(tensors, config.initial, k, config.n_ref)
-    val_ttm = _expectation(ttm_states[-1], config.observable)
-    err_ttm = abs(val_ttm - exact_val)
+    err_ttm = abs(_last_value(ttm_states, config) - exact_val)
     tdist_ttm = trace_distance(ttm_states[-1], exact_state)
 
     refusal, stab = tl_refusal(local, k)
@@ -505,7 +499,7 @@ def _compare_one(tensors, local, tau, config, exact_val, exact_state) -> Compare
     tdist_tl = np.nan
     if refusal is None:
         tl_states = extrapolate_tl(local, config.initial, k, config.n_ref)
-        val_tl = _expectation(tl_states[-1], config.observable)
+        val_tl = _last_value(tl_states, config)
         if np.isfinite(val_tl):
             err_tl = abs(val_tl - exact_val)
             tdist_tl = trace_distance(tl_states[-1], exact_state)
@@ -528,12 +522,13 @@ def compare_series(
     """Run both extrapolation schemes from shared short-time maps.
 
     ``series`` must hold at least ``config.n_short`` maps; extrapolation data
-    is restricted to that horizon even if more is available.
+    is restricted to that horizon even if more is available. Each error is
+    that of <O> in the last extrapolated state against ``exact_state``.
     """
-    short = series.head(min(config.n_short, len(series)))
+    short = series.head(config.n_short)
     tensors = decompose(short)
     local = local_maps(short, cond_threshold=config.cond_threshold)
-    exact_val = _expectation(exact_state, config.observable)
+    exact_val = _last_value(exact_state[None], config)
 
     rows = sorted(
         (_compare_one(tensors, local, tau, config, exact_val, exact_state) for tau in config.tau_c),
@@ -545,7 +540,6 @@ def compare_series(
         stationarity=stationarity_profile(local),
         tensor_norms=tensor_norm_profile(tensors),
         singular_values=(short.times, singular_values(short.maps)),
-        exact_value=exact_val,
     )
 
 

@@ -76,10 +76,6 @@ class CanonicalForm:
     rates: np.ndarray = field(repr=False)
     ops: tuple[np.ndarray, ...] = field(repr=False)
 
-    @property
-    def dim(self) -> int:
-        return self.h_eff.shape[0]
-
 
 def _pair_dissipator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Superoperator of rho -> a rho b - 1/2 {b a, rho}."""

@@ -127,14 +127,10 @@ def dissipator_superop(op: np.ndarray) -> np.ndarray:
 
 
 def lindblad_generator(
-    h: np.ndarray,
-    jump_ops: list[np.ndarray] | None = None,
-    rates: list[float] | None = None,
+    h: np.ndarray, jump_ops: list[np.ndarray], rates: list[float]
 ) -> np.ndarray:
     """Assemble -i[h, .] + sum_j rates[j] * D[jump_ops[j]] as a superoperator."""
     gen = hamiltonian_superop(h)
-    jump_ops = jump_ops or []
-    rates = rates if rates is not None else [1.0] * len(jump_ops)
     if len(rates) != len(jump_ops):
         raise DimensionMismatch("need one rate per jump operator")
     for rate, op in zip(rates, jump_ops):
@@ -151,9 +147,9 @@ def trace_functional(dim: int) -> np.ndarray:
 # predicates
 # ---------------------------------------------------------------------------
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     m = np.asarray(m)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL)
 
 
 def is_trace_preserving(superop: np.ndarray, tol: float = TRACE_TOL) -> bool:
@@ -245,11 +241,10 @@ def from_trajectories(
     if not np.isfinite(cond) or cond > BASIS_COND_MAX:
         raise SingularBasis(f"basis Gram matrix condition number {cond:.3e}")
 
-    out = np.empty((steps, dim * dim, dim * dim), dtype=complex)
-    for n in range(steps):
-        evolved = np.column_stack([vectorize(traj[n]) for traj in trajectories])
-        # E @ basis_mat = evolved  <=>  basis_mat.T @ E.T = evolved.T
-        out[n] = np.linalg.solve(basis_mat.T, evolved.T).T
+    # evolved[n] holds vec(traj[b][n]) in column b; E_n @ basis_mat = evolved[n]
+    # <=> basis_mat.T @ E_n.T = evolved[n].T, one system per step
+    evolved = np.array([[vectorize(state) for state in traj] for traj in trajectories])
+    out = np.linalg.solve(basis_mat.T, evolved.transpose(1, 0, 2)).transpose(0, 2, 1)
     return DynamicalMapSeries(dt=dt, t0=t0, maps=out)
 
 

@@ -174,10 +174,10 @@ def _support_info(sd: SpectralDensity, floor: float) -> tuple[float, float]:
     return float(grid[i_peak]), 2.0 * wmax
 
 
-def support_cutoff(sd: SpectralDensity, floor: float = SUPPORT_FLOOR) -> float:
-    """Upper integration limit: where J has fallen below ``floor`` times its
-    peak, then doubled. Returns 0.0 for an identically vanishing density."""
-    return _support_info(sd, floor)[1]
+def support_cutoff(sd: SpectralDensity) -> float:
+    """Upper integration limit: where J falls below ``SUPPORT_FLOOR`` times
+    its peak, doubled. Returns 0.0 for an identically vanishing density."""
+    return _support_info(sd, SUPPORT_FLOOR)[1]
 
 
 def _segments(sd: SpectralDensity) -> np.ndarray:

@@ -430,20 +430,19 @@ def _path_setup(system: SystemSpec, coeffs: InfluenceCoefficients):
 
 
 def _propagate_commuting(energies, dt, n_steps, kmax, self_phi, lag_phi, d2):
-    """Constant-path recursion for [H_S, O] = 0; exact and O(N * D^2)."""
+    """Constant-path recursion for [H_S, O] = 0; exact and O(N * D^2). Step n
+    (from 1) adds self_phi and the diagonals of lags 1..min(n - 1, kmax) to
+    the phase, so the phases are two cumulative sums."""
     i_idx = np.arange(d2) % len(energies)
     j_idx = np.arange(d2) // len(energies)
     phase = np.exp(-1j * (energies[i_idx] - energies[j_idx]) * dt)
-    lag_diag = [None] + [lag_phi[k].diagonal() for k in range(1, kmax + 1)]
-
-    maps = np.empty((n_steps, d2, d2), dtype=complex)
-    total_phi = np.zeros(d2, dtype=complex)
-    lag_cumulative = np.zeros(d2, dtype=complex)
-    for n in range(1, n_steps + 1):
-        if 2 <= n and n - 1 <= kmax:
-            lag_cumulative = lag_cumulative + lag_diag[n - 1]
-        total_phi = total_phi + self_phi + lag_cumulative
-        maps[n - 1] = np.diag(phase**n * np.exp(-total_phi))
+    lags = np.zeros((n_steps, d2), dtype=complex)
+    for k in range(1, min(kmax, n_steps - 1) + 1):
+        lags[k] = lag_phi[k].diagonal()
+    total_phi = np.cumsum(self_phi + np.cumsum(lags, axis=0), axis=0)
+    steps = np.arange(1, n_steps + 1)[:, None]
+    maps = np.zeros((n_steps, d2, d2), dtype=complex)
+    maps[:, np.arange(d2), np.arange(d2)] = phase**steps * np.exp(-total_phi)
     return maps
 
 

@@ -2,15 +2,18 @@
 
 The reference functions below are the per-step implementations of
 ``decompose``, ``local_maps``, ``stationarity_profile``, ``extrapolate``,
-``extrapolate_tl`` and ``rate_series`` (with the per-map ``invert``,
-``logm`` and ``canonical_decompose`` they called) that the batched code
-replaced, kept verbatim as oracles. ``local_maps`` and both extrapolators do the same
-arithmetic in the same order and must agree bit for bit; ``decompose``, the
-Frobenius norms and the rates sum in another order and are held to a
-tolerance fixed from double precision. ``rate_series`` must flag exactly the
-steps the loop flags, for the same reasons.
+``extrapolate_tl``, ``rate_series`` (with the per-map ``invert``, ``logm``
+and ``canonical_decompose`` they called), ``from_trajectories`` and the
+path integral's commuting recursion that the batched code replaced, kept
+verbatim as oracles. ``local_maps``, ``from_trajectories`` and both
+extrapolators do the same arithmetic in the same order and must agree bit
+for bit; ``decompose``, the Frobenius norms, the rates and the commuting
+phases sum in another order and are held to a tolerance fixed from double
+precision. ``rate_series`` must flag exactly the steps the loop flags, for
+the same reasons.
 """
 
+import functools
 import warnings
 
 import numpy as np
@@ -45,10 +48,19 @@ from dynamap.maps import (
     DynamicalMapSeries,
     devectorize,
     expm,
+    from_trajectories,
     _logm_stack,
     singular_values,
     trace_functional,
     vectorize,
+)
+from dynamap.harness import preset_config
+from dynamap.models import SystemSpec
+from dynamap.propagators import (
+    InfluenceCoefficients,
+    _path_setup,
+    _propagate_commuting,
+    eta_coefficients,
 )
 from dynamap.timelocal import (
     SV_RATIO_MIN,
@@ -277,6 +289,35 @@ def rate_series_loop(local):
     return RateSeries(times=local.times, rates=rates, min_rate=min_rate, flagged=flagged)
 
 
+def from_trajectories_loop(basis_states, trajectories):
+    dim = np.asarray(basis_states[0]).shape[0]
+    basis_mat = np.column_stack([vectorize(b) for b in basis_states])
+    steps = len(trajectories[0])
+    out = np.empty((steps, dim * dim, dim * dim), dtype=complex)
+    for n in range(steps):
+        evolved = np.column_stack([vectorize(traj[n]) for traj in trajectories])
+        # E @ basis_mat = evolved  <=>  basis_mat.T @ E.T = evolved.T
+        out[n] = np.linalg.solve(basis_mat.T, evolved.T).T
+    return out
+
+
+def propagate_commuting_loop(energies, dt, n_steps, kmax, self_phi, lag_phi, d2):
+    i_idx = np.arange(d2) % len(energies)
+    j_idx = np.arange(d2) // len(energies)
+    phase = np.exp(-1j * (energies[i_idx] - energies[j_idx]) * dt)
+    lag_diag = [None] + [lag_phi[k].diagonal() for k in range(1, kmax + 1)]
+
+    maps = np.empty((n_steps, d2, d2), dtype=complex)
+    total_phi = np.zeros(d2, dtype=complex)
+    lag_cumulative = np.zeros(d2, dtype=complex)
+    for n in range(1, n_steps + 1):
+        if 2 <= n and n - 1 <= kmax:
+            lag_cumulative = lag_cumulative + lag_diag[n - 1]
+        total_phi = total_phi + self_phi + lag_cumulative
+        maps[n - 1] = np.diag(phase**n * np.exp(-total_phi))
+    return maps
+
+
 # ---------------------------------------------------------------------------
 # random trace-preserving series
 # ---------------------------------------------------------------------------
@@ -499,3 +540,39 @@ def test_rate_series_flag_reasons_and_logm_fallback(monkeypatch):
     assert np.array_equal(got.flagged, [False, True, True, True, True, False])
     assert_rates_match(local, got, rate_series_loop(local))
     assert len(fallback_calls) == 4
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]), steps=st.integers(1, 20))
+def test_from_trajectories_equals_loop(seed, dim, steps):
+    rng = np.random.default_rng(seed)
+    basis = [random_state(rng.integers(2**32), dim) for _ in range(dim * dim)]
+    trajectories = [[random_state(rng.integers(2**32), dim) for _ in range(steps)]
+                    for _ in basis]
+    got = from_trajectories(basis, trajectories, dt=0.1)
+    assert np.array_equal(got.maps, from_trajectories_loop(basis, trajectories))
+
+
+@functools.lru_cache(maxsize=None)
+def preset_eta(name):
+    config = preset_config(name)
+    return eta_coefficients(config.bath, 0.0, config.dt, 250)
+
+
+@given(preset=st.sampled_from(["subohmic", "drude_lorentz", "qd_phonon"]),
+       seed=st.integers(0, 2**32 - 1), kmax=st.integers(1, 250), n_steps=st.integers(1, 300))
+def test_commuting_recursion_matches_loop(preset, seed, kmax, n_steps):
+    # a spin-boson preset's eta on a random H_S that commutes with its
+    # sigma_z / 2 coupling. The two phase sums round in another order: on
+    # these phases that moves a map entry by under 1e-15, and the change
+    # grows with the size of the summed phase.
+    full = preset_eta(preset)
+    coeffs = InfluenceCoefficients(dt=full.dt, kmax=kmax, eta=full.eta[:kmax + 1])
+    h_s = np.diag(np.random.default_rng(seed).uniform(-1.0, 1.0, 2)).astype(complex)
+    system = SystemSpec(h_s=h_s, coupling_op=0.5 * np.diag([1.0, -1.0]).astype(complex))
+    _, h_eig, self_phi, lag_phi, commuting = _path_setup(system, coeffs)
+    assert commuting
+    args = (np.diag(h_eig).real, coeffs.dt, n_steps, kmax, self_phi, lag_phi, 4)
+    got = _propagate_commuting(*args)
+    want = propagate_commuting_loop(*args)
+    assert np.max(np.abs(got - want)) <= 1e-14
+    assert np.array_equal(got == 0, want == 0)

@@ -17,6 +17,7 @@ from dynamap.harness import (
     LindbladPropagator,
     QuapiPropagator,
     SweepConfig,
+    compare_series,
     load_config,
     map_source,
     maps_key,
@@ -28,6 +29,8 @@ from dynamap.harness import (
 from dynamap.models import DrudeLorentzDensity, SubOhmicDensity, SystemSpec
 from dynamap.maps import devectorize, expm, lindblad_generator, pauli, vectorize
 from dynamap.propagators import eta_coefficients
+from dynamap.timelocal import extrapolate_tl, local_maps
+from dynamap.ttm import decompose, extrapolate
 
 
 def child_env(**extra):
@@ -39,7 +42,6 @@ def child_env(**extra):
 
 def embedding_config(**overrides):
     base = dict(
-        label="demo",
         system=SystemSpec(h_s=0.5 * pauli("x"), coupling_op=0.5 * pauli("z")),
         propagator=EmbeddingPropagator(mode_frequency=1.0, coupling=0.1, decay=2.0, n_max=6),
         dt=0.1,
@@ -167,8 +169,7 @@ def config_values(config):
         "h": h, "o": o, "temperature": config.system.temperature,
         "observable": config.observable.tolist(), "initial": config.initial.tolist(),
     }
-    for name in ("label", "bath", "propagator", "dt", "n_short", "t_ref", "tau_c",
-                 "cond_threshold"):
+    for name in ("bath", "propagator", "dt", "n_short", "t_ref", "tau_c", "cond_threshold"):
         values[name] = getattr(config, name)
     return values
 
@@ -293,6 +294,17 @@ class TestConfigReader:
         assert cli_main(["singvals", "--config", ini, "--out", str(tmp_path / "out")]) == 2
         assert f"[{section}] has no key {key!r}" in capsys.readouterr().err
 
+    def test_bath_kind_none(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        ini = write_ini(tmp_path / "none.ini",
+                        {"system": {"preset": "embedding"}, "bath": {"kind": "none"}})
+        assert load_config(ini).bath is None
+        assert cli_main(["singvals", "--config", ini, "--out", out]) == 0
+        ini = write_ini(tmp_path / "none.ini",
+                        {"system": {"preset": "drude_lorentz"}, "bath": {"kind": "none"}})
+        assert cli_main(["singvals", "--config", ini, "--out", out]) == 2
+        assert "needs a bath" in capsys.readouterr().err
+
     def test_unknown_section_exits_2(self, tmp_path, capsys):
         ini = write_ini(tmp_path / "gird.ini", {
             "system": {"preset": "lindblad"}, "gird": {"n_short": 5},
@@ -391,12 +403,12 @@ class TestConfigReader:
         configs = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
         pipeline = load_config(str(configs / "embedding_pipeline.ini"))
         assert config_values(pipeline) == config_values(replace(
-            preset_config("embedding"), label="embedding_pipeline", n_short=1000, t_ref=400.0,
+            preset_config("embedding"), n_short=1000, t_ref=400.0,
             tau_c=(0.5, 1.0, 2.0, 4.0, 8.0, 16.0),
         ))
         deep = load_config(str(configs / "quapi_deep_memory.ini"))
         assert config_values(deep) == config_values(replace(
-            preset_config("qd_phonon"), label="quapi_deep_memory", n_short=150, t_ref=10.0,
+            preset_config("qd_phonon"), n_short=150, t_ref=10.0,
             propagator=QuapiPropagator(kmax=8),
         ))
 
@@ -414,7 +426,6 @@ class TestConfigReader:
         sections.setdefault(section, {})[key] = value
         ini = write_ini(tmp_path / f"{preset}.ini", sections)
         want = config_values(preset_config(preset))
-        want["label"] = preset
         axis = {"hx": 1, "hz": 3, "oz": 3}
         if key in axis:
             want[key[0]][axis[key]] = value
@@ -481,7 +492,6 @@ class TestMapSource:
 class TestRunCompare:
     def test_semigroup_model_both_methods_exact(self):
         config = SweepConfig(
-            label="lindblad",
             system=SystemSpec(h_s=0.5 * pauli("x"), coupling_op=0.5 * pauli("z")),
             propagator=LindbladPropagator(jump="sigma_minus", rate=0.3),
             dt=0.1,
@@ -508,6 +518,24 @@ class TestRunCompare:
         assert len(times) == len(diffs) == 159
         sv_times, sv_table = result.singular_values
         assert sv_table.shape == (160, 4)
+
+    def test_errors_are_last_trajectory_values_against_the_exact_value(self):
+        config = preset_config("embedding")
+        source = map_source(config)
+        exact_state = source.state(config.initial, config.n_ref)
+        (exact,) = observable_series(exact_state[None], config.observable, config.dt)[1]
+        series = source.maps(config.n_short)
+        tensors, local = decompose(series), local_maps(series)
+
+        def last_value(states):
+            return observable_series(states, config.observable, config.dt)[1][-1]
+
+        for row in compare_series(series, exact_state, config).rows:
+            k = config.cutoff_steps(row.tau_c)
+            ttm = extrapolate(tensors, config.initial, k, config.n_ref)
+            tl = extrapolate_tl(local, config.initial, k, config.n_ref)
+            assert row.err_ttm == abs(last_value(ttm) - exact)
+            assert row.err_tl == abs(last_value(tl) - exact)
 
     def test_rows_sorted_and_columns_consistent(self):
         config = embedding_config(tau_c=(4.0, 0.5, 2.0))
@@ -555,6 +583,29 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert cli_main(["singvals", "--config", name, "--out", "out"]) == 2
         assert f"config file {name!r}: No such file or directory" in capsys.readouterr().err
+
+    def test_memory_budget_exits_3(self, tmp_path, capsys):
+        ini = write_ini(tmp_path / "deep.ini",
+                        {"system": {"preset": "drude_lorentz"}, "propagator": {"kmax": 14}})
+        assert cli_main(["generate", "--config", ini, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "exceed the budget" in err
+
+    @pytest.mark.parametrize("command, blocked", [
+        ("generate", "out/maps.key"), ("compare", "out/compare.csv"), ("singvals", None),
+    ])
+    def test_unwritable_output_exits_2_and_names_it(
+        self, tmp_path, capsys, monkeypatch, command, blocked
+    ):
+        # a directory where a file goes, or an --out that is a file
+        monkeypatch.chdir(tmp_path)
+        if blocked:
+            Path(blocked).mkdir(parents=True)
+        else:
+            Path("out").write_text("")
+        assert cli_main([command, "--config", "lindblad", "--out", "out"]) == 2
+        reason = "Is a directory" if blocked else "File exists"
+        assert capsys.readouterr().err == f"cannot write {blocked or 'out'}: {reason}\n"
 
     def test_flagged_cutoffs_exit_3(self, tmp_path):
         ini = tmp_path / "flagged.ini"

@@ -20,6 +20,7 @@ from dynamap.maps import (
     expm,
     from_trajectories,
     hamiltonian_superop,
+    is_hermitian,
     is_trace_preserving,
     logm,
     matrix_units,
@@ -277,6 +278,12 @@ class TestSeriesType:
         series = DynamicalMapSeries(dt=0.5, t0=0.0, maps=np.stack([np.eye(4, dtype=complex)]))
         with pytest.raises(ValueError):
             series.maps[0, 0, 0] = 2.0
+
+    def test_is_hermitian_reads_the_tolerance_at_call_time(self, monkeypatch):
+        m = np.array([[0.0, 1e-9], [0.0, 0.0]])
+        assert not is_hermitian(m)
+        monkeypatch.setattr("dynamap.maps.HERMITICITY_TOL", 1e-8)
+        assert is_hermitian(m)
 
     def test_trace_functional(self):
         w = trace_functional(2)

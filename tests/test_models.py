@@ -17,6 +17,7 @@ from dynamap.models import (
     stationary_state,
     support_cutoff,
 )
+from dynamap.propagators import eta_coefficients
 
 SUB = SubOhmicDensity(alpha=0.2, s=0.7, omega_c=5.0)
 DL = DrudeLorentzDensity(lam=0.1, gamma=1.0)
@@ -130,6 +131,16 @@ class TestBathCorrelation:
             im_neg = -np.trapezoid(j * np.sin(w * -t), w)
             assert re_neg == pytest.approx(c.real, abs=1e-6)
             assert im_neg == pytest.approx(-c.imag, abs=1e-6)
+
+    def test_support_cutoff_reads_the_floor_at_call_time(self, monkeypatch):
+        default = support_cutoff(SUB)
+        monkeypatch.setattr("dynamap.models.SUPPORT_FLOOR", 1e-6)
+        assert support_cutoff(SUB) < default
+
+    def test_vanishing_density_has_no_support_and_no_influence(self):
+        silent = SubOhmicDensity(alpha=0.0, s=0.7, omega_c=5.0)
+        assert support_cutoff(silent) == 0.0
+        assert not np.any(eta_coefficients(silent, 0.0, 0.08, 3).eta)
 
     def test_continuity(self):
         a = bath_correlation(SUB, 0.0, 1.0)

@@ -14,10 +14,16 @@ holds OUT). Three damaged map caches follow, each under ``singvals`` on the
 ``lindblad`` preset: copies (in ``OUT/inputs/<damage>/``) of that preset's
 generated cache whose ``maps.key`` holds bytes that are not UTF-8, whose
 ``maps.key`` is a directory, or whose ``maps.dmap`` is cut to 100 bytes.
+Three outputs that cannot be written follow, on the ``lindblad`` preset:
+``generate`` on a copy of the cache whose ``maps.key`` is a directory,
+``singvals`` on an ``--out`` that is a file, and ``compare`` on an ``--out``
+whose ``compare.csv`` is a directory. Last, ``generate`` on an INI of the
+``drude_lorentz`` preset at ``kmax = 14``, beyond the memory budget (written
+to ``OUT/memory-budget/`` and run from there).
 The invocations run one at a time, from TREE unless said otherwise, with
 BLAS and OpenMP pinned to one thread. Each writes under
 ``OUT/<config>/<step>/``: the files it wrote in ``out/``, and ``stdout``,
-``stderr`` and ``exit``.
+``stderr`` (with the ``--out`` path written as ``<out>``) and ``exit``.
 Two trees behave the same exactly when ``diff -r`` of their snapshots is
 empty.
 """
@@ -29,6 +35,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 PRESETS = ("subohmic", "drude_lorentz", "qd_phonon", "embedding", "lindblad")
@@ -36,6 +43,7 @@ COMMANDS = ("ttm", "tl", "rates", "singvals", "compare")
 CACHE = ("maps.dmap", "maps.key")
 EMPTY_TABLE_INI = "[system]\npreset = drude_lorentz\n\n[bath]\nkind = custom_table\npath = empty.csv\n"
 DAMAGES = ("key-not-utf8", "key-is-directory", "maps-truncated")
+DEEP_MEMORY_INI = "[system]\npreset = drude_lorentz\n\n[propagator]\nkmax = 14\n"
 
 
 def damage(cache: Path, how: str) -> None:
@@ -60,14 +68,24 @@ def configs(tree: Path) -> list[tuple[str, str]]:
     return found
 
 
+def file_at(out: Path) -> None:
+    out.write_bytes(b"")
+
+
+def directory_csv(out: Path) -> None:
+    (out / "compare.csv").mkdir(parents=True)
+
+
 def invoke(tree: Path, env: dict, step: Path, args: list[str], seed: Path | None = None,
-           cwd: Path | None = None) -> None:
+           cwd: Path | None = None, make_out: Callable[[Path], None] = Path.mkdir) -> None:
     """Run one command from ``cwd`` (default TREE) with ``--out step/out``,
-    after copying the map cache of ``seed`` there, and record its stdout,
-    stderr and exit code; the copied cache is removed again where the
-    command left it unchanged (a directory in its place, where still empty)."""
+    made by ``make_out``, after copying the map cache of ``seed`` there, and
+    record its stdout, stderr and exit code; the copied cache is removed
+    again where the command left it unchanged (a directory in its place,
+    where still empty)."""
     out = step / "out"
-    out.mkdir(parents=True)
+    step.mkdir(parents=True)
+    make_out(out)
     for name in CACHE if seed else ():
         if (seed / name).is_dir():
             (out / name).mkdir()
@@ -82,7 +100,7 @@ def invoke(tree: Path, env: dict, step: Path, args: list[str], seed: Path | None
         elif copy.is_file() and filecmp.cmp(seed / name, copy, shallow=False):
             copy.unlink()  # an input, unchanged
     (step / "stdout").write_bytes(done.stdout)
-    (step / "stderr").write_bytes(done.stderr)
+    (step / "stderr").write_bytes(done.stderr.replace(os.fsencode(out), b"<out>"))
     (step / "exit").write_text(f"{done.returncode}\n")
 
 
@@ -122,6 +140,16 @@ def main(argv: list[str]) -> int:
         damage(cache, how)
         invoke(tree, env, out / f"damaged-{how}" / "singvals",
                ["singvals", "--config", "lindblad"], seed=cache)
+    invoke(tree, env, out / "unwritable-key" / "generate", ["generate", "--config", "lindblad"],
+           seed=inputs / "key-is-directory")
+    invoke(tree, env, out / "unwritable-out" / "singvals", ["singvals", "--config", "lindblad"],
+           make_out=file_at)
+    invoke(tree, env, out / "unwritable-csv" / "compare", ["compare", "--config", "lindblad"],
+           make_out=directory_csv)
+    deep = out / "memory-budget"
+    deep.mkdir()
+    (deep / "deep_memory.ini").write_text(DEEP_MEMORY_INI)
+    invoke(tree, env, deep / "generate", ["generate", "--config", "deep_memory.ini"], cwd=deep)
     return 0
 
 

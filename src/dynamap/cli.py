@@ -100,7 +100,7 @@ def _cmd_ttm(config: SweepConfig, out: Path, args) -> int:
 
 
 def _cmd_tl(config: SweepConfig, out: Path, args) -> int:
-    local = local_maps(_obtain_series(config, out), cond_threshold=config.cond_threshold)
+    local = local_maps(_obtain_series(config, out))
     serialization.write_local_series(out / "local_maps.lmap", local)
     serialization.write_local_flags(out / "local_flags.csv", local)
     times, diffs = stationarity_profile(local)
@@ -121,7 +121,7 @@ def _cmd_tl(config: SweepConfig, out: Path, args) -> int:
 
 
 def _cmd_rates(config: SweepConfig, out: Path, args) -> int:
-    local = local_maps(_obtain_series(config, out), cond_threshold=config.cond_threshold)
+    local = local_maps(_obtain_series(config, out))
     serialization.write_rates_csv(out / "rates.csv", rate_series(local))
     return 0
 

@@ -24,7 +24,7 @@ class NonDiagonalizable(DynamapError):
 
 
 class CutoffExceedsData(DynamapError):
-    """Requested memory cutoff is longer than the available data."""
+    """Requested memory cutoff is below one step or longer than the available data."""
 
 
 class StationaryMapFlagged(DynamapError):

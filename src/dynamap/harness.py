@@ -131,7 +131,7 @@ _INITIAL_STATES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepConfig:
     """Everything one comparison sweep needs; validated on construction."""
 
@@ -146,7 +146,6 @@ class SweepConfig:
     initial: np.ndarray = field(
         default_factory=lambda: _INITIAL_STATES["excited"].copy(), repr=False
     )
-    cond_threshold: float | None = None
 
     def __post_init__(self):
         if not (0 < self.dt < np.inf) or self.n_short < 1:
@@ -173,8 +172,6 @@ class SweepConfig:
             )
         if isinstance(self.propagator, QuapiPropagator) and self.bath is None:
             raise ConfigError("the path-integral propagator needs a bath")
-        if self.cond_threshold is not None and not 0 <= self.cond_threshold <= 1:
-            raise ConfigError(f"cond_threshold = {self.cond_threshold} must lie in [0, 1]")
 
     # t_ref and every tau_c are whole numbers of steps, checked on construction
 
@@ -239,7 +236,7 @@ _PROPAGATORS = {"quapi": QuapiPropagator, "embedding": EmbeddingPropagator,
                 "lindblad": LindbladPropagator}
 # INI text -> value, by a field's annotation (a string, as annotations are
 # postponed); the matrix fields take a name from their own table instead.
-_PARSERS = {"int": int, "float": float, "float | None": float, "str": str,
+_PARSERS = {"int": int, "float": float, "str": str,
             "tuple[float, ...]": _parse_tau_c}
 _NAMED = {"observable": _OBSERVABLES, "initial": _INITIAL_STATES}
 
@@ -417,7 +414,7 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 # map sources
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MapSource:
     """A config's maps, ``maps(n)`` = E(t_1, 0)..E(t_n, 0), and its exact
     states, ``state(rho0, n)`` = E(t_n, 0) rho0 without a map series;
@@ -475,7 +472,7 @@ class CompareRow:
     tdist_tl: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompareResult:
     rows: tuple[CompareRow, ...]
     stationarity: tuple[np.ndarray, np.ndarray]
@@ -527,7 +524,7 @@ def compare_series(
     """
     short = series.head(config.n_short)
     tensors = decompose(short)
-    local = local_maps(short, cond_threshold=config.cond_threshold)
+    local = local_maps(short)
     exact_val = _last_value(exact_state[None], config)
 
     rows = sorted(

@@ -68,7 +68,7 @@ def gell_mann_basis(dim: int) -> list[np.ndarray]:
     return basis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalForm:
     """Effective Hamiltonian, rates (descending |gamma|), unit-2-norm operators."""
 
@@ -211,7 +211,7 @@ def reassemble(form: CanonicalForm) -> np.ndarray:
     return gen
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateSeries:
     """Canonical rates per time step; flagged steps carry NaN rows."""
 

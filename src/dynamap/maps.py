@@ -152,19 +152,19 @@ def is_hermitian(m: np.ndarray) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL)
 
 
-def is_trace_preserving(superop: np.ndarray, tol: float = TRACE_TOL) -> bool:
-    """Check vec(I)^dag E = vec(I)^dag within ``tol``."""
+def is_trace_preserving(superop: np.ndarray) -> bool:
+    """Check vec(I)^dag E = vec(I)^dag within ``TRACE_TOL``, read at call time."""
     superop = np.asarray(superop, dtype=complex)
     dim = int(round(np.sqrt(superop.shape[0])))
     w = trace_functional(dim)
-    return bool(np.max(np.abs(w @ superop - w)) <= tol)
+    return bool(np.max(np.abs(w @ superop - w)) <= TRACE_TOL)
 
 
 # ---------------------------------------------------------------------------
 # map series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DynamicalMapSeries:
     """Cumulative maps E(t0 + n dt, t0) for n = 1..N on a uniform grid.
 
@@ -204,7 +204,7 @@ class DynamicalMapSeries:
 
     def head(self, n: int) -> "DynamicalMapSeries":
         """The series restricted to its first ``n`` maps."""
-        if n > len(self):
+        if not 0 <= n <= len(self):
             raise DimensionMismatch(f"requested {n} maps, have {len(self)}")
         return DynamicalMapSeries(dt=self.dt, t0=self.t0, maps=self.maps[:n])
 

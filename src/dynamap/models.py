@@ -210,7 +210,7 @@ def _segments(sd: SpectralDensity) -> np.ndarray:
 # system and embedding specifications
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemSpec:
     """System Hamiltonian, coupling operator, and bath temperature."""
 
@@ -237,7 +237,7 @@ class SystemSpec:
         return self.h_s.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Embedding:
     """A linear generator on N extended entries, with ``embed`` (N x D^2)
     taking vec(rho_S) in and ``project`` (D^2 x N) reading it back out; the

@@ -68,7 +68,7 @@ def embedding_state(emb: Embedding, rho0: np.ndarray, t: float) -> np.ndarray:
 # influence coefficients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InfluenceCoefficients:
     """Discretized bath influence: eta[k] couples path windows k steps apart.
 

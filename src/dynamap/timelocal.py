@@ -35,7 +35,7 @@ SV_RATIO_MIN = 1e-8
 SPECTRAL_RADIUS_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalMapSeries:
     """Single-step maps E(t_n + dt, t_n) for n = 0..N-1.
 
@@ -76,21 +76,17 @@ class LocalMapSeries:
         return self.t0 + self.dt * np.arange(len(self))
 
 
-def local_maps(
-    series: DynamicalMapSeries,
-    cond_threshold: float | None = None,
-) -> LocalMapSeries:
+def local_maps(series: DynamicalMapSeries) -> LocalMapSeries:
     """Single-step maps from a cumulative series, flagging singular inversions.
 
-    Near-singular cumulative maps (sigma_min/sigma_max below ``cond_threshold``)
-    do not abort the construction: the affected step is filled with the
-    minimum-norm least-squares solution of X E(t_n, t_0) = E(t_{n+1}, t_0) and
-    flagged. Flags are isolated only at isolated singular times; for a source
-    that relaxes, the ratio keeps falling, and every step after it first drops
-    below the threshold is flagged.
+    Near-singular cumulative maps (sigma_min/sigma_max below ``SV_RATIO_MIN``,
+    read at call time) do not abort the construction: the affected step is
+    filled with the minimum-norm least-squares solution of
+    X E(t_n, t_0) = E(t_{n+1}, t_0) and flagged. Flags are isolated only at
+    isolated singular times; for a source that relaxes, the ratio keeps
+    falling, and every step after it first drops below the threshold is
+    flagged.
     """
-    if cond_threshold is None:
-        cond_threshold = SV_RATIO_MIN
     maps = series.maps
     prev, nxt = maps[:-1], maps[1:]
     sv = singular_values(prev)
@@ -99,7 +95,7 @@ def local_maps(
     np.divide(sv[:, -1], sv[:, 0], out=ratios[1:], where=sv[:, 0] > 0)
     flags = np.zeros(len(maps), dtype=bool)
     # a zero map keeps ratio 0 and is flagged even at threshold 0: it has no inverse
-    flags[1:] = (ratios[1:] < cond_threshold) | (sv[:, 0] == 0)
+    flags[1:] = (ratios[1:] < SV_RATIO_MIN) | (sv[:, 0] == 0)
     out = np.empty_like(maps)
     out[0] = maps[0]
     ok, bad = ~flags[1:], flags[1:]
@@ -135,7 +131,7 @@ def extrapolate_tl(
     """
     k = int(cutoff_steps)
     if k < 1:
-        raise ValueError("cutoff_steps must be at least 1")
+        raise CutoffExceedsData("cutoff_steps must be at least 1")
     if k > len(local):
         raise CutoffExceedsData(
             f"cutoff of {k} steps exceeds the {len(local)} available local maps"
@@ -150,9 +146,10 @@ def extrapolate_tl(
     vecs = np.empty((total_steps + 1, dim * dim), dtype=complex)
     vecs[0] = vectorize(initial)
     for n in range(min(k, total_steps)):
-        np.matmul(local.maps[n], vecs[n], out=vecs[n + 1])
+        local.maps[n].dot(vecs[n], out=vecs[n + 1])
+    step = stationary.dot
     for state, following in zip(vecs[k:-1], vecs[k + 1 :]):
-        np.matmul(stationary, state, out=following)
+        step(state, out=following)
     return vecs.reshape(total_steps + 1, dim, dim).transpose(0, 2, 1).copy()
 
 

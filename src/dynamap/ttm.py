@@ -25,7 +25,7 @@ from .maps import DynamicalMapSeries, vectorize
 __all__ = ["TransferTensorSeries", "decompose", "extrapolate", "tensor_norm_profile"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransferTensorSeries:
     """Tensors T(t_n), n = 1..N, on the grid of the source map series."""
 

@@ -7,9 +7,10 @@ and ``canonical_decompose`` they called), ``from_trajectories`` and the
 path integral's commuting recursion that the batched code replaced, kept
 verbatim as oracles. ``local_maps``, ``from_trajectories`` and both
 extrapolators do the same arithmetic in the same order and must agree bit
-for bit; ``decompose``, the Frobenius norms, the rates and the commuting
-phases sum in another order and are held to a tolerance fixed from double
-precision. ``rate_series`` must flag exactly the steps the loop flags, for
+for bit (``extrapolate_tl`` steps with ``ndarray.dot``, its oracle with
+``@``: both reach the same BLAS matrix-vector product); ``decompose``, the
+Frobenius norms, the rates and the commuting phases sum in another order
+and are held to a tolerance fixed from double precision. ``rate_series`` must flag exactly the steps the loop flags, for
 the same reasons.
 """
 
@@ -54,7 +55,7 @@ from dynamap.maps import (
     trace_functional,
     vectorize,
 )
-from dynamap.harness import preset_config
+from dynamap.harness import PRESETS, map_source, preset_config
 from dynamap.models import SystemSpec
 from dynamap.propagators import (
     InfluenceCoefficients,
@@ -388,11 +389,12 @@ def test_pinv_branch_reached():
     assert np.array_equal(local.maps, local_maps_loop(series).maps)
 
 
-def test_zero_map_flagged_at_zero_threshold():
+def test_zero_map_flagged_at_zero_threshold(monkeypatch):
     maps = random_series(seed=5, dim=2, n_steps=6, singular_at=None, leak=0.0).maps.copy()
     maps[2] = 0.0
     series = DynamicalMapSeries(dt=0.1, t0=0.0, maps=maps)
-    got = local_maps(series, cond_threshold=0.0)
+    monkeypatch.setattr("dynamap.timelocal.SV_RATIO_MIN", 0.0)
+    got = local_maps(series)
     want = local_maps_loop(series, cond_threshold=0.0)
     assert got.flagged[3] and got.sv_ratios[3] == 0.0
     assert np.array_equal(got.flagged, want.flagged)
@@ -440,6 +442,18 @@ def test_extrapolators_equal_loops(series, state_seed, data):
     # near the flag threshold the 1e-10 bound widens by that amplification
     tol = max(1e-10, 1e3 * EPS / local.sv_ratios[:k].min())
     assert np.all(np.abs(np.trace(tl_states, axis1=1, axis2=2) - 1.0) <= tol)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_extrapolate_tl_equals_loop_on_presets(name):
+    # the same zgemv in the same order: every bit, NaN and signed zero alike
+    config = preset_config(name)
+    local = local_maps(map_source(config).maps(config.n_short))
+    for k in map(config.cutoff_steps, config.tau_c):
+        if not local.flagged[k - 1]:
+            got = extrapolate_tl(local, config.initial, k, config.n_ref)
+            want = extrapolate_tl_loop(local, config.initial, k, config.n_ref)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]),

@@ -26,10 +26,18 @@ from dynamap.harness import (
     run_compare,
     trace_distance,
 )
-from dynamap.models import DrudeLorentzDensity, SubOhmicDensity, SystemSpec
+from dynamap.lindblad import canonical_decompose, rate_series
+from dynamap.models import (
+    DrudeLorentzDensity,
+    QDPhononDensity,
+    SubOhmicDensity,
+    SystemSpec,
+    TabulatedDensity,
+    build_embedding,
+)
 from dynamap.maps import devectorize, expm, lindblad_generator, pauli, vectorize
 from dynamap.propagators import eta_coefficients
-from dynamap.timelocal import extrapolate_tl, local_maps
+from dynamap.timelocal import extrapolate_tl, local_maps, spectral_stability
 from dynamap.ttm import decompose, extrapolate
 
 
@@ -169,7 +177,7 @@ def config_values(config):
         "h": h, "o": o, "temperature": config.system.temperature,
         "observable": config.observable.tolist(), "initial": config.initial.tolist(),
     }
-    for name in ("bath", "propagator", "dt", "n_short", "t_ref", "tau_c", "cond_threshold"):
+    for name in ("bath", "propagator", "dt", "n_short", "t_ref", "tau_c"):
         values[name] = getattr(config, name)
     return values
 
@@ -250,7 +258,7 @@ class TestConfigReader:
     @pytest.mark.parametrize("section, key, text", [
         ("system", "hz", "high"), ("system", "temperature", "warm"), ("grid", "n_short", "2.5"),
         ("propagator", "kmax", "deep"), ("extrapolation", "observable", "sigma_w"),
-        ("extrapolation", "initial", "up"), ("extrapolation", "cond_threshold", "small"),
+        ("extrapolation", "initial", "up"),
     ])
     def test_malformed_key_exits_2(self, tmp_path, capsys, section, key, text):
         sections = full_ini()
@@ -283,6 +291,7 @@ class TestConfigReader:
         ("system", "lam", "drude_lorentz"), ("bath", "lamda", "drude_lorentz"),
         ("bath", "lam", "none"), ("bath", "lam", "custom_table"),
         ("propagator", "kmx", "drude_lorentz"), ("extrapolation", "tauc", "drude_lorentz"),
+        ("extrapolation", "cond_threshold", "drude_lorentz"),
     ])
     def test_unknown_key_exits_2(self, tmp_path, capsys, section, key, bath_kind):
         sections = {"system": {"preset": "drude_lorentz"}, "bath": {"kind": bath_kind},
@@ -389,9 +398,6 @@ class TestConfigReader:
     @pytest.mark.parametrize("preset, section, key, text", [
         ("drude_lorentz", "system", "temperature", "nan"),
         ("drude_lorentz", "system", "temperature", "inf"),
-        ("embedding", "extrapolation", "cond_threshold", "nan"),
-        ("lindblad", "extrapolation", "cond_threshold", "-0.5"),
-        ("lindblad", "extrapolation", "cond_threshold", "1.5"),
     ])
     def test_out_of_range_setting_exits_2(self, tmp_path, capsys, preset, section, key, text):
         ini = write_ini(tmp_path / "range.ini", {"system": {"preset": preset}, section: {key: text}})
@@ -487,6 +493,61 @@ class TestMapSource:
             assert np.max(np.abs(got - want)) <= 1e-13
         else:
             assert np.array_equal(got, want)
+
+
+def drude_lorentz_maps():
+    return map_source(preset_config("drude_lorentz")).maps(6)
+
+
+ARRAY_RECORDS = {
+    "SweepConfig": lambda: preset_config("drude_lorentz"),
+    "SystemSpec": lambda: preset_config("drude_lorentz").system,
+    "Embedding": lambda: build_embedding(preset_config("embedding").system, mode_frequency=1.0,
+                                         coupling=0.4, decay=0.5, n_max=2),
+    "DynamicalMapSeries": drude_lorentz_maps,
+    "TransferTensorSeries": lambda: decompose(drude_lorentz_maps()),
+    "LocalMapSeries": lambda: local_maps(drude_lorentz_maps()),
+    "InfluenceCoefficients": lambda: map_source(preset_config("drude_lorentz")).coeffs,
+    "CanonicalForm": lambda: canonical_decompose(
+        lindblad_generator(pauli("x"), [pauli("z"), pauli("y")], [0.3, 0.1])
+    ),
+    "RateSeries": lambda: rate_series(local_maps(drude_lorentz_maps())),
+    "CompareResult": lambda: run_compare(replace(preset_config("lindblad"), t_ref=10.0)),
+    "MapSource": lambda: map_source(preset_config("drude_lorentz")),
+}
+
+SCALAR_RECORDS = {
+    "SubOhmicDensity": lambda: SubOhmicDensity(alpha=0.2, s=0.7, omega_c=5.0),
+    "DrudeLorentzDensity": lambda: DrudeLorentzDensity(lam=0.1, gamma=1.0),
+    "QDPhononDensity": lambda: QDPhononDensity(c_e=0.1, c_h=-0.1, omega_e=2.0, omega_h=3.0),
+    "TabulatedDensity": lambda: TabulatedDensity(omegas=(0.0, 1.0), values=(0.0, 0.5)),
+    "QuapiPropagator": lambda: QuapiPropagator(kmax=5),
+    "EmbeddingPropagator": lambda: EmbeddingPropagator(**EMBEDDING_KEYS),
+    "LindbladPropagator": LindbladPropagator,
+    "CompareRow": lambda: harness.CompareRow(1.0, 0.1, 0.2, False, True, 0.3, 0.4),
+    "SpectralStability": lambda: spectral_stability(np.eye(4)),
+}
+
+
+class TestRecordEquality:
+    # a record that holds an array is equal only to itself, as numpy gives no
+    # truth value to an array comparison; configs compare by maps_key instead
+    @pytest.mark.parametrize("name", list(ARRAY_RECORDS))
+    def test_array_records_compare_by_identity(self, name):
+        a, b = ARRAY_RECORDS[name](), ARRAY_RECORDS[name]()
+        assert type(a).__name__ == name
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+    @pytest.mark.parametrize("name", list(SCALAR_RECORDS))
+    def test_scalar_records_compare_by_value(self, name):
+        a, b = SCALAR_RECORDS[name](), SCALAR_RECORDS[name]()
+        assert type(a).__name__ == name
+        assert a is not b and a == b and hash(a) == hash(b)
+
+    def test_equal_presets_have_equal_maps_keys(self):
+        a, b = preset_config("subohmic"), preset_config("subohmic")
+        assert a != b and maps_key(a) == maps_key(b)
 
 
 class TestRunCompare:

@@ -115,7 +115,7 @@ class TestFromTrajectories:
         ]
         series = from_trajectories(basis, trajs, dt=dt)
         for m in series.maps:
-            assert is_trace_preserving(m, 1e-10)
+            assert is_trace_preserving(m)
 
 
 class TestSingularValues:
@@ -274,6 +274,13 @@ class TestSeriesType:
         assert len(series.head(2)) == 2
         assert series.dim == 2
 
+    @pytest.mark.parametrize("n", [-1, -5, 6])
+    def test_head_outside_the_series_is_refused(self, n):
+        series = DynamicalMapSeries(dt=0.5, t0=1.0, maps=np.stack([np.eye(4, dtype=complex)] * 5))
+        with pytest.raises(DimensionMismatch, match=f"requested {n} maps, have 5"):
+            series.head(n)
+        assert len(series.head(0)) == 0
+
     def test_immutable(self):
         series = DynamicalMapSeries(dt=0.5, t0=0.0, maps=np.stack([np.eye(4, dtype=complex)]))
         with pytest.raises(ValueError):
@@ -284,6 +291,13 @@ class TestSeriesType:
         assert not is_hermitian(m)
         monkeypatch.setattr("dynamap.maps.HERMITICITY_TOL", 1e-8)
         assert is_hermitian(m)
+
+    def test_is_trace_preserving_reads_the_tolerance_at_call_time(self, monkeypatch):
+        m = np.eye(4, dtype=complex)
+        m[0, 0] += 1e-9
+        assert not is_trace_preserving(m)
+        monkeypatch.setattr("dynamap.maps.TRACE_TOL", 1e-8)
+        assert is_trace_preserving(m)
 
     def test_trace_functional(self):
         w = trace_functional(2)

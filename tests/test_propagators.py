@@ -180,7 +180,7 @@ class TestEmbeddingPropagate:
         series = embedding_propagate(emb, 0.1, 40)
         rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]], dtype=complex)
         for m in series.maps:
-            assert is_trace_preserving(m, 1e-10)
+            assert is_trace_preserving(m)
             out = devectorize(m @ vectorize(rho))
             assert np.max(np.abs(out - out.conj().T)) < 1e-10
 
@@ -478,10 +478,11 @@ class TestQuapiPropagate:
         dense = quapi_propagate(system_dense, coeffs, 8)
         assert np.max(np.abs(commuting.maps - dense.maps)) < 1e-12
 
-    def test_trace_preserving(self, subohmic_run):
+    def test_trace_preserving(self, subohmic_run, monkeypatch):
         _, _, _, series = subohmic_run
+        monkeypatch.setattr("dynamap.maps.TRACE_TOL", 1e-8)
         for m in series.maps[::25]:
-            assert is_trace_preserving(m, 1e-8)
+            assert is_trace_preserving(m)
 
     def test_hermiticity_preserved(self, subohmic_run):
         _, _, _, series = subohmic_run

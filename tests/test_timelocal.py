@@ -18,6 +18,7 @@ from dynamap.timelocal import (
     spectral_stability,
     stationarity_profile,
 )
+from dynamap.ttm import decompose, extrapolate
 
 
 class TestLocalMaps:
@@ -58,7 +59,7 @@ class TestLocalMaps:
         # strongly dissipative semigroup: cumulative map loses rank over time
         gen = -2.0 * np.diag([0.0, 1.0, 1.0, 1.0]).astype(complex)
         series = semigroup_series(gen, 1.0, 15)
-        local = local_maps(series, cond_threshold=1e-8)
+        local = local_maps(series)
         assert local.flagged.any()
         assert not local.flagged[0]
         first = np.nonzero(local.flagged)[0][0]
@@ -144,6 +145,15 @@ class TestExtrapolateTl:
         series = semigroup_series(random_lindblad_generator(rng), 0.1, 5)
         with pytest.raises(CutoffExceedsData):
             extrapolate_tl(local_maps(series), EXCITED, cutoff_steps=6, total_steps=10)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_cutoff_below_one_step_rejected_as_by_ttm(self, k):
+        rng = np.random.default_rng(6)
+        series = semigroup_series(random_lindblad_generator(rng), 0.1, 5)
+        with pytest.raises(CutoffExceedsData, match="at least 1"):
+            extrapolate_tl(local_maps(series), EXCITED, cutoff_steps=k, total_steps=10)
+        with pytest.raises(CutoffExceedsData, match="at least 1"):
+            extrapolate(decompose(series), EXCITED, cutoff_steps=k, total_steps=10)
 
 
 class TestSpectralStability:

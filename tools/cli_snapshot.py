@@ -17,9 +17,11 @@ generated cache whose ``maps.key`` holds bytes that are not UTF-8, whose
 Three outputs that cannot be written follow, on the ``lindblad`` preset:
 ``generate`` on a copy of the cache whose ``maps.key`` is a directory,
 ``singvals`` on an ``--out`` that is a file, and ``compare`` on an ``--out``
-whose ``compare.csv`` is a directory. Last, ``generate`` on an INI of the
+whose ``compare.csv`` is a directory. Then ``generate`` on an INI of the
 ``drude_lorentz`` preset at ``kmax = 14``, beyond the memory budget (written
-to ``OUT/memory-budget/`` and run from there).
+to ``OUT/memory-budget/`` and run from there). Last, ``tl`` on an INI of
+the ``lindblad`` preset that sets the removed key ``[extrapolation]
+cond_threshold`` (written to ``OUT/removed-key/`` and run from there).
 The invocations run one at a time, from TREE unless said otherwise, with
 BLAS and OpenMP pinned to one thread. Each writes under
 ``OUT/<config>/<step>/``: the files it wrote in ``out/``, and ``stdout``,
@@ -44,6 +46,7 @@ CACHE = ("maps.dmap", "maps.key")
 EMPTY_TABLE_INI = "[system]\npreset = drude_lorentz\n\n[bath]\nkind = custom_table\npath = empty.csv\n"
 DAMAGES = ("key-not-utf8", "key-is-directory", "maps-truncated")
 DEEP_MEMORY_INI = "[system]\npreset = drude_lorentz\n\n[propagator]\nkmax = 14\n"
+REMOVED_KEY_INI = "[system]\npreset = lindblad\n\n[extrapolation]\ncond_threshold = 1e-6\n"
 
 
 def damage(cache: Path, how: str) -> None:
@@ -150,6 +153,10 @@ def main(argv: list[str]) -> int:
     deep.mkdir()
     (deep / "deep_memory.ini").write_text(DEEP_MEMORY_INI)
     invoke(tree, env, deep / "generate", ["generate", "--config", "deep_memory.ini"], cwd=deep)
+    removed = out / "removed-key"
+    removed.mkdir()
+    (removed / "removed_key.ini").write_text(REMOVED_KEY_INI)
+    invoke(tree, env, removed / "tl", ["tl", "--config", "removed_key.ini"], cwd=removed)
     return 0
 
 

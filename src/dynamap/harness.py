@@ -86,8 +86,11 @@ class EmbeddingPropagator:
     n_max: int
 
     def __post_init__(self):
-        if not self.decay >= 0:
-            raise ConfigError(f"decay = {self.decay} must be non-negative")
+        for name in ("mode_frequency", "coupling"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} = {getattr(self, name)} must be finite")
+        if not 0 <= self.decay < np.inf:
+            raise ConfigError(f"decay = {self.decay} must be finite and non-negative")
         if not self.n_max >= 1:
             raise ConfigError(f"n_max = {self.n_max} must be at least 1")
 
@@ -102,8 +105,8 @@ class LindbladPropagator:
     def __post_init__(self):
         if self.jump not in _JUMP_OPS:
             raise ConfigError(f"jump = {self.jump!r}: expected {sorted(_JUMP_OPS)}")
-        if not self.rate >= 0:
-            raise ConfigError(f"rate = {self.rate} must be non-negative")
+        if not 0 <= self.rate < np.inf:
+            raise ConfigError(f"rate = {self.rate} must be finite and non-negative")
 
 
 _JUMP_OPS = {
@@ -332,8 +335,9 @@ def load_config(path_or_preset: str) -> SweepConfig:
     """Load a sweep configuration from an INI file or a preset name.
 
     The file uses sections [system], [bath], [grid], [propagator], and
-    [extrapolation]; any other section, and any key that no record reads, is
-    a :class:`ConfigError`. An optional ``preset`` key in [system] pulls a
+    [extrapolation]; any other section, and any key that its section does
+    not take, is a :class:`ConfigError`: [grid] takes dt, n_short and t_ref,
+    [extrapolation] tau_c, observable and initial. An optional ``preset`` key in [system] pulls a
     preset as the base: each given key then replaces exactly one value of
     the preset, and every value not given is the preset's. Without a preset,
     a value not given takes its record's default, and a required key that is
@@ -374,6 +378,8 @@ def load_config(path_or_preset: str) -> SweepConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"invalid configuration {path_or_preset!r}: {exc}") from exc
+    _refuse_unknown("grid", sections["grid"], {"dt", "n_short", "t_ref"})
+    _refuse_unknown("extrapolation", sections["extrapolation"], {"tau_c", "observable", "initial"})
     return _record(SweepConfig, {name: sections[name] for name in ("grid", "extrapolation")},
                    base, "a config without a preset", system=system, bath=bath,
                    propagator=propagator)

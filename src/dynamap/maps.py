@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     BranchAmbiguity,
     DimensionMismatch,
+    DynamapError,
     NonDiagonalizable,
     SingularBasis,
 )
@@ -364,6 +365,69 @@ def _ell(a: np.ndarray, m: int) -> int:
     return max(int(np.ceil(np.log2(alpha / 2.0**-53) / (2 * m))), 0)
 
 
+def _add_terms(out: np.ndarray, coeffs, powers, scratch: np.ndarray | None) -> np.ndarray:
+    """``out += c * p`` for each coefficient c and power p, in turn. Each
+    ``c * p`` is formed in ``scratch``, or in ``p`` itself, which it spends,
+    where ``scratch`` is None."""
+    for c, p in zip(coeffs, powers):
+        out += np.multiply(p, c, out=p if scratch is None else scratch)
+    return out
+
+
+def _add_identity(out: np.ndarray, c: float) -> np.ndarray:
+    """``out + c I`` in place, rounded as ``out + c * eye`` and ``0 + c * eye
+    + out`` round it: off the diagonal both add +0.0, which turns -0.0 into
+    +0.0."""
+    out += 0
+    out.reshape(-1)[:: out.shape[0] + 1] += c
+    return out
+
+
+def _pade(pw: list, m: int) -> np.ndarray:
+    """The [m/m] Pade approximant to exp(A), m <= 9, from ``pw`` = [A, A^2,
+    A^4, ...], which it spends and empties. U = A (b_1 I + b_3 A^2 + ...)
+    and V = b_0 I + b_2 A^2 + ... are summed from I up, as ``sum`` sums them
+    from its leading 0; V is built in A^2's buffer, U in the scratch."""
+    del pw[(m + 1) // 2:]
+    b = _PADE[m]
+    scratch = np.empty_like(pw[0])
+    w = _add_terms(_add_identity(pw[1] * b[3], b[1]), b[5::2], pw[2:], scratch)
+    pw[1] *= b[2]
+    _add_terms(_add_identity(pw[1], b[0]), b[4::2], pw[2:], None)  # V
+    u = np.matmul(pw[0], w, out=scratch)
+    np.add(pw[1], u, out=w)  # V + U
+    np.subtract(pw[1], u, out=u)  # V - U
+    pw.clear()
+    return np.linalg.solve(u, w)
+
+
+def _bracket13(evens: list, c, inner: np.ndarray, out: np.ndarray, spend: bool) -> np.ndarray:
+    """A^6 (c_0 A^6 + c_1 A^4 + c_2 A^2) + c_3 A^6 + c_4 A^4 + c_5 A^2 + c_6 I,
+    summed left to right into ``out``, for ``evens`` = [A^6, A^4, A^2]. The
+    parenthesis is built in ``inner``, which then holds the later terms, or,
+    with ``spend``, the powers themselves do."""
+    _add_terms(np.multiply(evens[0], c[0], out=inner), c[1:3], evens[1:], out)
+    np.matmul(evens[0], inner, out=out)
+    return _add_identity(_add_terms(out, c[3:6], evens, None if spend else inner), c[6])
+
+
+def _pade13(pw: list) -> np.ndarray:
+    """The [13/13] Pade approximant to exp(A) from ``pw`` = [A, A^2, A^4,
+    A^6], which it spends and empties: U = A (A^6 (b_13 A^6 + b_11 A^4 +
+    b_9 A^2) + b_7 A^6 + b_5 A^4 + b_3 A^2 + b_1 I) and V = A^6 (b_12 A^6 +
+    b_10 A^4 + b_8 A^2) + b_6 A^6 + b_4 A^4 + b_2 A^2 + b_0 I."""
+    b = _PADE[13]
+    x, y = np.empty_like(pw[0]), np.empty_like(pw[0])
+    _bracket13(pw[:0:-1], b[13::-2], x, y, spend=False)
+    u = np.matmul(pw.pop(0), y, out=x)  # A is spent
+    v = _bracket13(pw[::-1], b[12::-2], y, np.empty_like(y), spend=True)
+    pw.clear()
+    np.add(v, u, out=y)  # V + U
+    np.subtract(v, u, out=u)  # V - U
+    del v
+    return np.linalg.solve(u, y)
+
+
 def expm(gen: np.ndarray, dt: float) -> np.ndarray:
     """Map over a step of length dt: exp(gen * dt).
 
@@ -372,46 +436,43 @@ def expm(gen: np.ndarray, dt: float) -> np.ndarray:
     1-norms of A^4, A^6, A^8 and A^10 (at every size, where estimates would
     do for large matrices), then one
     ``np.linalg.solve`` and s squarings. A zero generator takes order 3,
-    whose b_0 I solve returns the identity exactly.
+    whose b_0 I solve returns the identity exactly. A non-finite entry of
+    ``gen * dt``, or powers of it that overflow, raise :class:`DynamapError`.
+
+    Working set: besides ``gen``, at most seven N x N complex arrays at any
+    order, six at orders 3, 5 and 7 (1.9 GB at N = 4096). The powers live
+    in one list, the Pade sums are built in place, and the powers are
+    released before the solve, whose operands are V - U and V + U alone.
     """
-    a = np.asarray(gen, dtype=complex) * dt
-    eye = np.eye(a.shape[0], dtype=complex)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    d4 = _onenorm(a4) ** (1 / 4)
-    d6 = _onenorm(a6) ** (1 / 6)
-
-    def pade(powers: list[np.ndarray]) -> np.ndarray:
-        # [m/m] approximant from the even powers I, A^2, ..., A^(m-1):
-        # U = A sum_j b_(2j+1) A^(2j) and V = sum_j b_(2j) A^(2j)
-        b = _PADE[2 * len(powers) - 1]
-        u = a @ sum(b[2 * j + 1] * p for j, p in enumerate(powers))
-        v = sum(b[2 * j] * p for j, p in enumerate(powers))
-        return np.linalg.solve(v - u, v + u)
-
-    if max(d4, d6) < _THETA[3] and _ell(a, 3) == 0:
-        return pade([eye, a2])
-    if max(d4, d6) < _THETA[5] and _ell(a, 5) == 0:
-        return pade([eye, a2, a4])
-    a8 = a6 @ a2
-    d8 = _onenorm(a8) ** (1 / 8)
+    pw = [np.asarray(gen, dtype=complex) * dt]  # A, A^2, A^4, A^6, A^8
+    if not np.isfinite(pw[0]).all():
+        raise DynamapError(f"exp(G t) at t = {dt}: G t has a non-finite entry")
+    pw.append(pw[0] @ pw[0])
+    pw.append(pw[1] @ pw[1])
+    pw.append(pw[2] @ pw[1])
+    d4 = _onenorm(pw[2]) ** (1 / 4)
+    d6 = _onenorm(pw[3]) ** (1 / 6)
+    if max(d4, d6) < _THETA[3] and _ell(pw[0], 3) == 0:
+        return _pade(pw, 3)
+    if max(d4, d6) < _THETA[5] and _ell(pw[0], 5) == 0:
+        return _pade(pw, 5)
+    pw.append(pw[3] @ pw[1])
+    d8 = _onenorm(pw[4]) ** (1 / 8)
     eta_3 = max(d6, d8)
-    if eta_3 < _THETA[7] and _ell(a, 7) == 0:
-        return pade([eye, a2, a4, a6])
-    if eta_3 < _THETA[9] and _ell(a, 9) == 0:
-        return pade([eye, a2, a4, a6, a8])
+    if eta_3 < _THETA[7] and _ell(pw[0], 7) == 0:
+        return _pade(pw, 7)
+    if eta_3 < _THETA[9] and _ell(pw[0], 9) == 0:
+        return _pade(pw, 9)
 
-    eta_5 = min(eta_3, max(d8, _onenorm(a4 @ a6) ** (1 / 10)))
+    del pw[4]
+    eta_5 = min(eta_3, max(d8, _onenorm(pw[2] @ pw[3]) ** (1 / 10)))
+    if not eta_5 < np.inf:
+        raise DynamapError(f"exp(G t) at t = {dt}: the powers of G t overflow")
     s = max(int(np.ceil(np.log2(eta_5 / _THETA[13]))), 0) if eta_5 > 0 else 0
-    s += _ell(a * 2.0**-s, 13)
-    b = _PADE[13]
-    a, a2, a4, a6 = a * 2.0**-s, a2 * 4.0**-s, a4 * 16.0**-s, a6 * 64.0**-s
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-    out = np.linalg.solve(v - u, v + u)
+    s += _ell(pw[0] * 2.0**-s, 13)
+    for p, scale in zip(pw, (2.0**-s, 4.0**-s, 16.0**-s, 64.0**-s)):
+        p *= scale
+    out = _pade13(pw)
     for _ in range(s):
         out = out @ out
     return out
-

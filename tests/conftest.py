@@ -7,7 +7,11 @@ from hypothesis import settings
 from dynamap.errors import QuadratureFailure
 from dynamap.lindblad import gell_mann_basis
 from dynamap.maps import (
+    _PADE,
+    _THETA,
     DynamicalMapSeries,
+    _ell,
+    _onenorm,
     dissipator_superop,
     expm,
     hamiltonian_superop,
@@ -48,6 +52,51 @@ def semigroup_series(gen, dt, steps):
     return DynamicalMapSeries(
         dt=dt, t0=0.0, maps=np.stack([expm(gen, n * dt) for n in range(1, steps + 1)])
     )
+
+
+def reference_expm(gen, dt):
+    """exp(gen * dt) as ``maps.expm`` computed it before it worked in place:
+    the same order and scaling choice and the same Pade sums, written as
+    plain expressions, each power and temporary a fresh array. It is the
+    bit-for-bit oracle of ``maps.expm``."""
+    a = np.asarray(gen, dtype=complex) * dt
+    eye = np.eye(a.shape[0], dtype=complex)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    d4 = _onenorm(a4) ** (1 / 4)
+    d6 = _onenorm(a6) ** (1 / 6)
+
+    def pade(powers):
+        b = _PADE[2 * len(powers) - 1]
+        u = a @ sum(b[2 * j + 1] * p for j, p in enumerate(powers))
+        v = sum(b[2 * j] * p for j, p in enumerate(powers))
+        return np.linalg.solve(v - u, v + u)
+
+    if max(d4, d6) < _THETA[3] and _ell(a, 3) == 0:
+        return pade([eye, a2])
+    if max(d4, d6) < _THETA[5] and _ell(a, 5) == 0:
+        return pade([eye, a2, a4])
+    a8 = a6 @ a2
+    d8 = _onenorm(a8) ** (1 / 8)
+    eta_3 = max(d6, d8)
+    if eta_3 < _THETA[7] and _ell(a, 7) == 0:
+        return pade([eye, a2, a4, a6])
+    if eta_3 < _THETA[9] and _ell(a, 9) == 0:
+        return pade([eye, a2, a4, a6, a8])
+
+    eta_5 = min(eta_3, max(d8, _onenorm(a4 @ a6) ** (1 / 10)))
+    s = max(int(np.ceil(np.log2(eta_5 / _THETA[13]))), 0) if eta_5 > 0 else 0
+    s += _ell(a * 2.0**-s, 13)
+    b = _PADE[13]
+    a, a2, a4, a6 = a * 2.0**-s, a2 * 4.0**-s, a4 * 16.0**-s, a6 * 64.0**-s
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    out = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
 def assemble_tp_generator(h, coeff, basis):

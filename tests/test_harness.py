@@ -286,6 +286,45 @@ class TestConfigReader:
         assert f"{key} = " in capsys.readouterr().err
         assert not (tmp_path / "out" / "singvals.csv").exists()
 
+    @pytest.mark.parametrize("propagator", [
+        {"type": "embedding", **EMBEDDING_KEYS, "mode_frequency": "nan"},
+        {"type": "embedding", **EMBEDDING_KEYS, "coupling": "inf"},
+        {"type": "embedding", **EMBEDDING_KEYS, "decay": "inf"},
+        {"type": "lindblad", "rate": "inf"},
+    ], ids=["mode_frequency-nan", "coupling-inf", "decay-inf", "rate-inf"])
+    def test_non_finite_propagator_value_exits_2(self, tmp_path, capsys, propagator):
+        key, text = next((k, v) for k, v in propagator.items() if v in ("nan", "inf"))
+        ini = write_ini(tmp_path / "non_finite.ini",
+                        {"system": {"preset": "lindblad"}, "propagator": propagator})
+        assert cli_main(["generate", "--config", ini, "--out", str(tmp_path / "out")]) == 2
+        assert f"{key} = {text} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_generator_exits_3(self, tmp_path, capsys):
+        # a finite mode frequency whose generator entries overflow
+        ini = write_ini(tmp_path / "overflow.ini", {
+            "system": {"preset": "lindblad"},
+            "propagator": {"type": "embedding", **EMBEDDING_KEYS, "mode_frequency": 1e308},
+        })
+        assert cli_main(["generate", "--config", ini, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "non-finite entry" in err
+        assert not (tmp_path / "out" / "maps.dmap").exists()
+
+    @pytest.mark.parametrize("section, key, text", [
+        ("extrapolation", "dt", "0.05"), ("extrapolation", "n_short", "200"),
+        ("extrapolation", "t_ref", "60.0"), ("grid", "tau_c", "1.0"),
+        ("grid", "observable", "sigma_x"), ("grid", "initial", "plus"),
+    ])
+    def test_key_of_the_other_section_exits_2(self, tmp_path, capsys, section, key, text):
+        owned = {"grid": ["dt", "n_short", "t_ref"],
+                 "extrapolation": ["initial", "observable", "tau_c"]}
+        ini = write_ini(tmp_path / "misplaced.ini",
+                        {"system": {"preset": "lindblad"}, section: {key: text}})
+        assert cli_main(["tl", "--config", ini, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"[{section}] has no key {key!r}; expected one of {owned[section]}" in err
+
     @pytest.mark.parametrize("section, key, bath_kind", [
         ("grid", "n_sohrt", "drude_lorentz"), ("grid", "label", "drude_lorentz"),
         ("system", "lam", "drude_lorentz"), ("bath", "lamda", "drude_lorentz"),

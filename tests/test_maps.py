@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,11 +7,19 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import SX, SY, SZ, random_hermitian, random_lindblad_generator
-from dynamap import harness
+from conftest import (
+    SX,
+    SY,
+    SZ,
+    random_hermitian,
+    random_lindblad_generator,
+    reference_expm,
+)
+from dynamap import harness, maps
 from dynamap.errors import (
     BranchAmbiguity,
     DimensionMismatch,
+    DynamapError,
     NonDiagonalizable,
     SingularBasis,
 )
@@ -264,6 +273,127 @@ class TestExpmAgainstScipy:
         gen = np.diag(-rng.uniform(0.1, 1.0, 6)) + np.triu(rng.normal(size=(6, 6)), 1)
         assert self.rel_err(gen, 0.1) <= 1e-14
         assert self.rel_err(gen, 50.0) <= 1e-12
+
+
+def source_generator(name):
+    """The extended generator of the embedding or Lindblad source of config ``name``."""
+    config = harness.load_config(name)
+    return config, harness.map_source(config).maps.args[0].generator
+
+
+def pade_order(gen, t):
+    """The Pade order ``expm(gen, t)`` takes: the one key of ``maps._PADE`` it reads."""
+    class Recording(dict):
+        def __getitem__(self, m):
+            read.append(m)
+            return super().__getitem__(m)
+
+    read = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maps, "_PADE", Recording(maps._PADE))
+        expm(gen, t)
+    (order,) = read
+    return order
+
+
+def assert_same_bits(gen, t):
+    want = reference_expm(gen, t)
+    got = expm(gen, t)
+    assert got.dtype == want.dtype == complex
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def signed(re, im):
+    """A complex matrix with exactly these real and imaginary parts, signed zeros kept."""
+    m = np.array(re, dtype=complex)
+    m.imag = im
+    return m
+
+
+class TestExpmInPlace:
+    """``maps.expm`` builds its Pade sums in place. It must round exactly as
+    the plain expressions of ``conftest.reference_expm`` do, compared as
+    uint64, and hold few N x N arrays at once."""
+
+    # scales of exp(G t) that reach every Pade order on random Lindblad
+    # generators, and squarings beyond it (see test_log_scales_reach_every_order)
+    LOG_SCALES = (-7.0, 3.0)
+
+    PIPELINE = TestExpmAgainstScipy.PIPELINE
+
+    @pytest.mark.parametrize("name", ["embedding", PIPELINE, "lindblad"])
+    def test_source_generators(self, name):
+        config, gen = source_generator(name)
+        for t in (config.dt, config.t_ref, 400.0):
+            assert_same_bits(gen, t)
+
+    def test_log_scales_reach_every_order(self):
+        orders, radius = set(), 0.0
+        for dim in (2, 3, 4):
+            gen = random_lindblad_generator(np.random.default_rng(dim), dim)
+            for log_scale in np.linspace(*self.LOG_SCALES, 41):
+                orders.add(pade_order(gen, 10.0**log_scale))
+            radius = max(radius, np.abs(np.linalg.eigvals(gen)).max() * 10.0 ** self.LOG_SCALES[1])
+        assert orders == {3, 5, 7, 9, 13}
+        # the spectral radius bounds every ||A^k||^(1/k) from below, so
+        # eta_5 > theta_13 and at least one squaring follows
+        assert radius > 2 * maps._THETA[13]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([2, 3, 4]),
+        log_scale=st.floats(*LOG_SCALES),
+    )
+    def test_random_lindblad_generators(self, seed, dim, log_scale):
+        assert_same_bits(random_lindblad_generator(np.random.default_rng(seed), dim), 10.0**log_scale)
+
+    @pytest.mark.parametrize("gen", [
+        signed([[-1.0, 0.0], [-0.0, 0.0]], [[0.0, -2.0], [0.0, 1.0]]),
+        signed([[0.0, 0.5], [-0.0, 0.5]], [[-0.0, 0.5], [0.0, 0.5]]),
+    ], ids=["triangular", "singular-triangular"])
+    def test_exact_and_negative_zeros(self, gen):
+        # the Pade sums of the reference start from 0 + b I, which turns
+        # -0.0 into +0.0 off the diagonal; at order 3 the results of both
+        # matrices change bits without that rounding
+        orders = set()
+        for t in (1e-3, 1e-2, 0.1, 0.3, 1.0, 3.0, 10.0, 100.0):
+            assert_same_bits(gen, t)
+            orders.add(pade_order(gen, t))
+        assert {3, 5, 7, 13} <= orders
+
+    @pytest.mark.parametrize("t, order", [(1e-3, 3), (1e-2, 5), (0.1, 7), (0.2, 9), (400.0, 13)])
+    def test_working_set(self, t, order):
+        # peak bytes held inside expm on the N = 196 pipeline generator, in
+        # units of one N x N complex array: the plain expressions held 11
+        _, gen = source_generator(self.PIPELINE)
+        assert gen.shape == (196, 196)
+        assert pade_order(gen, t) == order
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            expm(gen, t)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        limit = 6 if order <= 7 else 7
+        assert peak <= limit * 16 * gen.size + 64 * 1024
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("entry, t", [
+        (np.nan, 0.1), (np.inf, 0.1), (1e308, 10.0), (1.0, np.inf),
+    ], ids=["nan", "inf", "overflow-of-gen-t", "inf-t"])
+    def test_non_finite_gen_t_is_refused(self, entry, t):
+        gen = np.diag([-1.0, 0.5, 0.0, 2.0]).astype(complex)
+        gen[0, 1] = entry
+        with pytest.raises(DynamapError, match="G t has a non-finite entry"):
+            expm(gen, t)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_powers_are_refused(self):
+        gen = np.full((3, 3), 1e150, dtype=complex)
+        with pytest.raises(DynamapError, match="the powers of G t overflow"):
+            expm(gen, 1.0)
 
 
 class TestSeriesType:

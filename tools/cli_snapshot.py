@@ -17,15 +17,22 @@ generated cache whose ``maps.key`` holds bytes that are not UTF-8, whose
 Three outputs that cannot be written follow, on the ``lindblad`` preset:
 ``generate`` on a copy of the cache whose ``maps.key`` is a directory,
 ``singvals`` on an ``--out`` that is a file, and ``compare`` on an ``--out``
-whose ``compare.csv`` is a directory. Then ``generate`` on an INI of the
-``drude_lorentz`` preset at ``kmax = 14``, beyond the memory budget (written
-to ``OUT/memory-budget/`` and run from there). Last, ``tl`` on an INI of
-the ``lindblad`` preset that sets the removed key ``[extrapolation]
-cond_threshold`` (written to ``OUT/removed-key/`` and run from there).
+whose ``compare.csv`` is a directory. Last, one command on each INI of
+INI_CASES, each written to its own directory under OUT and run from
+there: ``generate`` on the ``drude_lorentz`` preset at ``kmax = 14``,
+beyond the memory budget (``OUT/memory-budget/``); ``tl`` on the
+``lindblad`` preset with the removed key ``[extrapolation] cond_threshold``
+(``OUT/removed-key/``); ``generate`` on the ``lindblad`` preset with an
+embedding propagator whose ``mode_frequency`` is NaN, whose ``coupling`` is
+infinite, or whose ``mode_frequency = 1e308`` overflows the generator, and
+with a Lindblad propagator at ``rate = inf`` (``OUT/non-finite-*/`` and
+``OUT/overflowing-mode-frequency/``); and ``tl`` on the ``lindblad``
+preset with ``dt`` under ``[extrapolation]`` (``OUT/misplaced-key/``).
 The invocations run one at a time, from TREE unless said otherwise, with
 BLAS and OpenMP pinned to one thread. Each writes under
 ``OUT/<config>/<step>/``: the files it wrote in ``out/``, and ``stdout``,
-``stderr`` (with the ``--out`` path written as ``<out>``) and ``exit``.
+``stderr`` (with the ``--out`` path written as ``<out>`` and TREE as
+``<tree>``, as in the source paths of warnings) and ``exit``.
 Two trees behave the same exactly when ``diff -r`` of their snapshots is
 empty.
 """
@@ -47,6 +54,22 @@ EMPTY_TABLE_INI = "[system]\npreset = drude_lorentz\n\n[bath]\nkind = custom_tab
 DAMAGES = ("key-not-utf8", "key-is-directory", "maps-truncated")
 DEEP_MEMORY_INI = "[system]\npreset = drude_lorentz\n\n[propagator]\nkmax = 14\n"
 REMOVED_KEY_INI = "[system]\npreset = lindblad\n\n[extrapolation]\ncond_threshold = 1e-6\n"
+EMBEDDING_INI = ("[system]\npreset = lindblad\n\n[propagator]\ntype = embedding\n"
+                 "mode_frequency = {}\ncoupling = {}\ndecay = 0.5\nn_max = 6\n")
+# (directory under OUT, INI file name, INI text, command)
+INI_CASES = (
+    ("memory-budget", "deep_memory.ini", DEEP_MEMORY_INI, "generate"),
+    ("removed-key", "removed_key.ini", REMOVED_KEY_INI, "tl"),
+    ("non-finite-mode-frequency", "mode_frequency.ini", EMBEDDING_INI.format("nan", 0.4),
+     "generate"),
+    ("non-finite-coupling", "coupling.ini", EMBEDDING_INI.format(1.0, "inf"), "generate"),
+    ("overflowing-mode-frequency", "mode_frequency.ini", EMBEDDING_INI.format("1e308", 0.4),
+     "generate"),
+    ("non-finite-rate", "rate.ini",
+     "[system]\npreset = lindblad\n\n[propagator]\ntype = lindblad\nrate = inf\n", "generate"),
+    ("misplaced-key", "misplaced_key.ini",
+     "[system]\npreset = lindblad\n\n[extrapolation]\ndt = 0.05\n", "tl"),
+)
 
 
 def damage(cache: Path, how: str) -> None:
@@ -103,7 +126,8 @@ def invoke(tree: Path, env: dict, step: Path, args: list[str], seed: Path | None
         elif copy.is_file() and filecmp.cmp(seed / name, copy, shallow=False):
             copy.unlink()  # an input, unchanged
     (step / "stdout").write_bytes(done.stdout)
-    (step / "stderr").write_bytes(done.stderr.replace(os.fsencode(out), b"<out>"))
+    stderr = done.stderr.replace(os.fsencode(out), b"<out>")
+    (step / "stderr").write_bytes(stderr.replace(os.fsencode(tree), b"<tree>"))
     (step / "exit").write_text(f"{done.returncode}\n")
 
 
@@ -149,14 +173,10 @@ def main(argv: list[str]) -> int:
            make_out=file_at)
     invoke(tree, env, out / "unwritable-csv" / "compare", ["compare", "--config", "lindblad"],
            make_out=directory_csv)
-    deep = out / "memory-budget"
-    deep.mkdir()
-    (deep / "deep_memory.ini").write_text(DEEP_MEMORY_INI)
-    invoke(tree, env, deep / "generate", ["generate", "--config", "deep_memory.ini"], cwd=deep)
-    removed = out / "removed-key"
-    removed.mkdir()
-    (removed / "removed_key.ini").write_text(REMOVED_KEY_INI)
-    invoke(tree, env, removed / "tl", ["tl", "--config", "removed_key.ini"], cwd=removed)
+    for folder, ini, text, command in INI_CASES:
+        (out / folder).mkdir()
+        (out / folder / ini).write_text(text)
+        invoke(tree, env, out / folder / command, [command, "--config", ini], cwd=out / folder)
     return 0
 
 

@@ -310,12 +310,16 @@ def _read_bath(keys, base: SpectralDensity | None) -> SpectralDensity | None:
     return _read_kind(_BATHS, "kind", keys, base, "bath")
 
 
+@np.errstate(invalid="ignore")  # inf * 0 ends as a NaN that SystemSpec refuses
 def _read_system(keys, base: SystemSpec | None) -> SystemSpec:
     """Each of hx, hy, hz (ox, oy, oz) replaces one Pauli component of H_S
-    (of the coupling operator); the others are ``base``'s, else zero."""
+    (of the coupling operator); the others are ``base``'s, else zero. Both
+    operators are always given, so that the section's keys are the
+    components, ``preset`` and ``temperature``."""
     ops = {}
     for name, prefix in (("h_s", "h"), ("coupling_op", "o")):
         if base is not None and not any(prefix + a in keys for a in "xyz"):
+            ops[name] = getattr(base, name)
             continue
         x, y, z = (
             _parse(prefix + a, "float", keys[prefix + a]) if prefix + a in keys

@@ -51,10 +51,9 @@ TRACE_TOL = 1e-10
 BASIS_COND_MAX = 1e12
 #: eigenvalue argument distance from pi below which :func:`logm` refuses
 BRANCH_TOL = 1e-6
-#: eigenvector condition number beyond which a map counts as non-diagonalizable
-EIGVEC_COND_MAX = 1e12
-#: eigenvector condition number beyond which :func:`logm` uses inverse scaling-and-squaring
-LOGM_FALLBACK_COND = 1e6
+#: eigenvector condition number beyond which a map counts as non-diagonalizable:
+#: the eigendecomposition logarithm loses about cond * eps, 1e-10 at 1e6
+EIGVEC_COND_MAX = 1e6
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -170,7 +169,9 @@ class DynamicalMapSeries:
     """Cumulative maps E(t0 + n dt, t0) for n = 1..N on a uniform grid.
 
     ``maps[n-1]`` propagates vectorized states from t0 to t0 + n dt.
-    Instances are immutable; the backing array is marked read-only.
+    Instances are immutable; the backing array is marked read-only. Every
+    source and the cache reader build one, so a map with a non-finite entry
+    is refused here, as a :class:`DynamapError`.
     """
 
     dt: float
@@ -186,6 +187,9 @@ class DynamicalMapSeries:
             raise DimensionMismatch(f"superoperator edge {d2} is not a perfect square")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        bad = np.count_nonzero(~np.isfinite(maps).all(axis=(1, 2)))
+        if bad:
+            raise DynamapError(f"{bad} of {len(maps)} maps have a non-finite entry")
         maps = maps.copy()
         maps.flags.writeable = False
         object.__setattr__(self, "maps", maps)
@@ -262,12 +266,11 @@ def singular_values(superop: np.ndarray) -> np.ndarray:
 def logm(superop: np.ndarray, dt: float) -> np.ndarray:
     """Principal matrix logarithm divided by dt: the generator of the map.
 
-    Uses an eigendecomposition, V diag(log lambda) V^-1; falls back to
-    ``scipy.linalg.logm`` (inverse scaling-and-squaring) when the eigenvector
-    matrix is poorly conditioned. Eigenvalues that are zero or on (or
-    numerically touching) the negative real axis have no principal logarithm
-    and raise :class:`BranchAmbiguity`; an eigenvector condition number above
-    ``EIGVEC_COND_MAX`` raises :class:`NonDiagonalizable`. This is
+    Uses an eigendecomposition, V diag(log lambda) V^-1. Eigenvalues that
+    are zero or on (or numerically touching) the negative real axis have no
+    principal logarithm and raise :class:`BranchAmbiguity`; an eigenvector
+    condition number above ``EIGVEC_COND_MAX``, where the logarithm would
+    lose more than about 1e-10, raises :class:`NonDiagonalizable`. This is
     :func:`_logm_stack` on a stack of one map.
     """
     if dt <= 0:
@@ -284,8 +287,7 @@ def _logm_stack(maps: np.ndarray, dt: float) -> tuple[np.ndarray, dict[int, Exce
     Returns the generators and, for each map that has no logarithm, its
     position mapped to the exception :func:`logm` raises for it; the rows of
     those maps are zero. One batched ``eig``, ``cond`` and ``inv`` serve every
-    diagonalizable map; scipy is imported only when some map needs the
-    ill-conditioned fallback, which runs map by map.
+    map.
     """
     evals, evecs = np.linalg.eig(maps)
     dist_to_cut = np.pi - np.abs(np.angle(evals))
@@ -309,16 +311,9 @@ def _logm_stack(maps: np.ndarray, dt: float) -> tuple[np.ndarray, dict[int, Exce
         else:
             failures[i] = NonDiagonalizable(f"eigenvector condition number {cond[i]:.3e}")
 
-    fallback = ~failed & (cond > LOGM_FALLBACK_COND)
-    direct = ~failed & ~fallback
     gens = np.zeros_like(maps)
-    vecs = evecs[direct]
-    gens[direct] = (vecs * np.log(evals[direct])[:, None, :]) @ np.linalg.inv(vecs)
-    if fallback.any():
-        import scipy.linalg as sla
-
-        for i in np.flatnonzero(fallback):
-            gens[i] = sla.logm(maps[i])
+    vecs = evecs[~failed]
+    gens[~failed] = (vecs * np.log(evals[~failed])[:, None, :]) @ np.linalg.inv(vecs)
     return gens / dt, failures
 
 

@@ -223,6 +223,8 @@ class SystemSpec:
         o = np.asarray(self.coupling_op, dtype=complex)
         if h.shape != o.shape or h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("h_s and coupling_op must be square and equal-shaped")
+        if not (np.isfinite(h).all() and np.isfinite(o).all()):
+            raise ValueError("h_s and coupling_op must be finite")
         if not is_hermitian(h) or not is_hermitian(o):
             raise ValueError("h_s and coupling_op must be Hermitian to 1e-12")
         if not 0 <= self.temperature < np.inf:
@@ -252,6 +254,7 @@ class Embedding:
 MAX_EXTENDED_DIM = 64
 
 
+@np.errstate(all="ignore")  # an overflowing generator is refused by expm
 def build_embedding(system: SystemSpec, mode_frequency: float, coupling: float,
                     decay: float, n_max: int) -> Embedding:
     """System plus one damped bosonic mode, H = H_S + W b'b + g (b' + b) O

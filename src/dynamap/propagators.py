@@ -309,6 +309,8 @@ _GROUP_BYTES = 1 << 20
 #: at a time) and kmax <= 8 at D = 3
 MEMORY_BUDGET = 2.0**32
 
+
+@np.errstate(all="ignore")  # overflowing phases end as maps the series refuses
 def quapi_propagate(
     system: SystemSpec,
     coeffs: InfluenceCoefficients,
@@ -355,6 +357,7 @@ def quapi_propagate(
     return DynamicalMapSeries(dt=coeffs.dt, t0=0.0, maps=out)
 
 
+@np.errstate(all="ignore")  # overflow as in quapi_propagate, whose maps are refused
 def quapi_state(
     system: SystemSpec,
     coeffs: InfluenceCoefficients,
@@ -422,9 +425,12 @@ def _path_setup(system: SystemSpec, coeffs: InfluenceCoefficients):
     self_phi = blip * weights[0]
     lag_phi = [None] + [np.outer(blip, weights[k]) for k in range(1, coeffs.kmax + 1)]
 
-    off_diag = h_eig - np.diag(np.diag(h_eig))
-    h_scale = 1.0 + float(np.linalg.norm(h_eig))
-    commuting = float(np.max(np.abs(off_diag))) <= 1e-13 * h_scale
+    # the scale is the largest real or imaginary part: unlike a norm or a
+    # modulus, it cannot overflow for finite entries
+    parts = np.abs(np.stack([h_eig.real, h_eig.imag]))
+    h_scale = 1.0 + float(parts.max())
+    parts[:, np.arange(d), np.arange(d)] = 0.0
+    commuting = float(parts.max()) <= 1e-13 * h_scale
     basis_change = np.kron(v.T, v.conj().T)  # vec_orig -> vec_eig, unitary
     return basis_change, h_eig, self_phi, lag_phi, commuting
 

@@ -19,7 +19,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -45,7 +44,6 @@ from dynamap.maps import (
     BRANCH_TOL,
     EIGVEC_COND_MAX,
     HERMITICITY_TOL,
-    LOGM_FALLBACK_COND,
     DynamicalMapSeries,
     devectorize,
     expm,
@@ -200,12 +198,7 @@ def logm_loop(superop, dt):
     cond = np.linalg.cond(evecs)
     if not np.isfinite(cond) or cond > EIGVEC_COND_MAX:
         raise NonDiagonalizable(f"eigenvector condition number {cond:.3e}")
-    if cond > LOGM_FALLBACK_COND:
-        import scipy.linalg as sla
-
-        log_map = sla.logm(superop)
-    else:
-        log_map = evecs @ np.diag(np.log(evals)) @ np.linalg.inv(evecs)
+    log_map = evecs @ np.diag(np.log(evals)) @ np.linalg.inv(evecs)
     return log_map / dt
 
 
@@ -504,26 +497,19 @@ def coherence_map(block):
     return m
 
 
-def test_rate_series_flag_reasons_and_logm_fallback(monkeypatch):
+def test_rate_series_flag_reasons():
     maps = np.stack([
         expm(random_lindblad_generator(np.random.default_rng(11)), 0.1),
         coherence_map(np.zeros((2, 2))),
         coherence_map(-0.5 * np.eye(2)),
         coherence_map([[0.9, 1.0], [0.0, 0.9 + 1e-15]]),  # kappa(V) ~ 1e15
         2.0 * np.eye(4),                                  # log is not trace preserving
-        coherence_map([[0.9, 1.0], [0.0, 0.9 + 1e-7]]),   # kappa(V) ~ 1e7: scipy logm
+        coherence_map([[0.9, 1.0], [0.0, 0.9 + 1e-7]]),   # kappa(V) ~ 1e7
+        coherence_map([[0.9, 1.0], [0.0, 0.9 + 1e-5]]),   # kappa(V) ~ 1e5
     ])
     local = LocalMapSeries(
         dt=0.1, t0=0.0, maps=maps, sv_ratios=np.ones(len(maps)), flagged=np.zeros(len(maps))
     )
-    fallback_calls = []
-    scipy_logm = scipy.linalg.logm
-
-    def counted_logm(m):
-        fallback_calls.append(m)
-        return scipy_logm(m)
-
-    monkeypatch.setattr(scipy.linalg, "logm", counted_logm)
 
     def describe(err):
         return None if err is None else f"{type(err).__name__}: {err}"
@@ -540,20 +526,17 @@ def test_rate_series_flag_reasons_and_logm_fallback(monkeypatch):
     want = [describe(loop_failure(m)) for m in maps]
     assert [w and w.split(":")[0] for w in want] == [
         None, "BranchAmbiguity", "BranchAmbiguity", "NonDiagonalizable",
-        "NotTracePreserving", None,
+        "NotTracePreserving", "NonDiagonalizable", None,
     ]
     assert "zero eigenvalue" in want[1] and "negative real axis" in want[2]
-    assert len(fallback_calls) == 1
 
     gens, failures = _logm_stack(maps, local.dt)
     failures.update(_canonical_stack(gens)[4])
     assert [describe(failures.get(i)) for i in range(len(maps))] == want
-    assert len(fallback_calls) == 2
 
     got = rate_series(local)
-    assert np.array_equal(got.flagged, [False, True, True, True, True, False])
+    assert np.array_equal(got.flagged, [False, True, True, True, True, True, False])
     assert_rates_match(local, got, rate_series_loop(local))
-    assert len(fallback_calls) == 4
 
 
 @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]), steps=st.integers(1, 20))

@@ -311,6 +311,49 @@ class TestConfigReader:
         assert err.startswith("numerical failure: ") and "non-finite entry" in err
         assert not (tmp_path / "out" / "maps.dmap").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_generator_warns_nothing(self, tmp_path, capsys):
+        # build_embedding overflows under np.errstate; expm refuses the
+        # generator, and the exit-3 line is all that is printed
+        ini = write_ini(tmp_path / "overflow.ini", {
+            "system": {"preset": "lindblad"},
+            "propagator": {"type": "embedding", **EMBEDDING_KEYS, "mode_frequency": 1e308},
+        })
+        assert cli_main(["generate", "--config", ini, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("key", ["hz", "oz"])
+    def test_non_finite_maps_exit_3(self, tmp_path, capsys, key):
+        # finite parameters whose path-integral phases overflow: every
+        # command stops with one line, and no map container is written
+        ini = write_ini(tmp_path / "huge.ini", {"system": {"preset": "subohmic", key: 1e308}})
+        out = tmp_path / "out"
+        for command in ("generate", "ttm", "tl", "rates", "singvals", "compare"):
+            assert cli_main([command, "--config", ini, "--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("numerical failure: ") and err.count("\n") == 1
+            assert "maps have a non-finite entry" in err
+        assert not (out / "maps.dmap").exists() and not (out / "maps.key").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("key", ["hx", "hy", "hz", "ox", "oy", "oz"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_system_value_exits_2(self, tmp_path, capsys, key, text):
+        ini = write_ini(tmp_path / "system.ini", {"system": {"preset": "lindblad", key: text}})
+        assert cli_main(["singvals", "--config", ini, "--out", str(tmp_path / "out")]) == 2
+        assert "h_s and coupling_op must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset", ["lindblad", None])
+    @pytest.mark.parametrize("key", ["h_s", "coupling_op"])
+    def test_operator_field_is_no_system_key(self, tmp_path, capsys, preset, key):
+        system = {key: "1"} if preset is None else {"preset": preset, key: "1"}
+        ini = write_ini(tmp_path / "system.ini", {"system": system})
+        assert cli_main(["singvals", "--config", ini, "--out", str(tmp_path / "out")]) == 2
+        settable = ["hx", "hy", "hz", "ox", "oy", "oz", "preset", "temperature"]
+        err = capsys.readouterr().err
+        assert f"[system] has no key {key!r}; expected one of {settable}" in err
+
     @pytest.mark.parametrize("section, key, text", [
         ("extrapolation", "dt", "0.05"), ("extrapolation", "n_short", "200"),
         ("extrapolation", "t_ref", "60.0"), ("grid", "tau_c", "1.0"),
@@ -975,56 +1018,43 @@ class TestCli:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout.splitlines()[-1]) == []
 
-    def test_scipy_loaded_only_where_used(self, tmp_path):
-        # fresh interpreters: the pytest warning filter has already imported
-        # scipy.integrate into this one
-        def loaded(script, condition):
-            probe = (
-                "import json, sys\n" + script + "\n"
-                f"print(json.dumps(sorted(m for m in sys.modules if {condition})))"
-            )
-            done = subprocess.run(
-                [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
-            )
-            assert done.returncode == 0, done.stderr
-            return json.loads(done.stdout.splitlines()[-1])
-
-        def scipy_modules(script):
-            return loaded(script, "m.startswith('scipy')")
-
-        assert scipy_modules(
-            "from dynamap.harness import PRESETS, load_config\n"
-            "for name in PRESETS:\n    load_config(name)"
-        ) == []
-
-        def cli(*commands, config="embedding", out=str(tmp_path / "maps")):
-            return "from dynamap.cli import main\n" + "".join(
-                f"assert main([{cmd!r}, '--config', {config!r}, '--out', {out!r}]) == 0\n"
-                for cmd in commands
-            )
-
-        # the exact sources: expm by numpy Pade, rates by the batched
-        # eigendecomposition logarithm (no step there needs the scipy fallback)
-        for name in ("embedding", "lindblad"):
-            out = str(tmp_path / name)
-            assert scipy_modules(cli("generate", config=name, out=out)) == []
-            assert scipy_modules(
-                cli("ttm", "tl", "rates", "singvals", "compare", config=name, out=out)
-            ) == []
-            fresh = str(tmp_path / f"{name}_fresh")
-            assert scipy_modules(cli("rates", "compare", config=name, out=fresh)) == []
-        # the path-integral source: eta by numpy quadrature, the QUAPI
-        # half-step by eigh
-        spin_boson = [
-            cli("compare", config=name, out=str(tmp_path / name))
-            for name in ("subohmic", "drude_lorentz", "qd_phonon")
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        # a fresh interpreter whose import system refuses scipy runs every
+        # command on every preset and shipped config: scipy is a test-only
+        # dependency (the pytest warning filter has imported scipy.integrate
+        # into this interpreter)
+        root = Path(__file__).resolve().parents[1]
+        configs = list(harness.PRESETS) + [
+            str(path) for path in sorted(root.glob("configs/*.ini"))
+            + sorted(root.glob("perfbench/configs/*.ini"))
         ]
-        quapi = tmp_path / "quapi.ini"
-        quapi.write_text("[system]\npreset = qd_phonon\n\n[propagator]\ntype = quapi\nkmax = 3\n")
-        spin_boson.append(cli("generate", config=str(quapi), out=str(tmp_path / "quapi")))
-        # nor numpy.ma, which np.unique would import on the eta path
-        numpy_ma = "m.split('.')[:2] == ['numpy', 'ma']"
-        assert loaded("\n".join(spin_boson), f"m.startswith('scipy') or {numpy_ma}") == []
+        assert len(configs) == 10
+        commands = [["generate", "--dump-eta"], ["ttm"], ["tl"], ["rates"], ["singvals"],
+                    ["compare"]]
+        runs = [[*command, "--config", config, "--out", str(tmp_path / f"out{i}")]
+                for i, config in enumerate(configs) for command in commands]
+        probe = (
+            "import json, sys\n"
+            "class RefuseScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ImportError(f'{name} is refused')\n"
+            "sys.meta_path.insert(0, RefuseScipy())\n"
+            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+            "from dynamap.cli import main\n"
+            f"codes = [main(argv) for argv in {runs!r}]\n"
+            # nor numpy.ma, which np.unique would import on the eta path
+            "numpy_ma = [m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']]\n"
+            "print(json.dumps([codes, numpy_ma]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
+        )
+        assert done.returncode == 0, done.stderr
+        codes, numpy_ma = json.loads(done.stdout.splitlines()[-1])
+        failed = [" ".join(argv) for argv, code in zip(runs, codes) if code != 0]
+        assert failed == [], done.stderr
+        assert numpy_ma == []
 
     @pytest.mark.parametrize(
         "kmax, grid",

@@ -66,6 +66,15 @@ class TestVectorize:
             vectorize(np.zeros((2, 3)))
 
 
+class TestDynamicalMapSeries:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf * 1j], ids=["nan", "inf", "inf-imag"])
+    def test_non_finite_map_is_refused(self, bad):
+        maps = np.stack([np.eye(4, dtype=complex)] * 3)
+        maps[1, 2, 3] = bad
+        with pytest.raises(DynamapError, match="1 of 3 maps have a non-finite entry"):
+            DynamicalMapSeries(dt=0.1, t0=0.0, maps=maps)
+
+
 class TestFromTrajectories:
     def test_identity_evolution(self):
         basis = matrix_units(2)
@@ -202,10 +211,24 @@ class TestLogmExpm:
         with pytest.raises(NonDiagonalizable):
             logm(m, 0.1)
 
-    def test_poorly_conditioned_uses_fallback(self):
-        m = np.diag([2.0, 2.0, 1.0, 1.0]).astype(complex)
+    @staticmethod
+    def near_defective(gap):
+        """A map whose eigenvector condition number is about 2 / gap."""
+        m = np.diag([2.0, 2.0 + gap, 1.0, 1.0]).astype(complex)
         m[0, 1] = 1.0
-        m[1, 1] = 2.0 + 1e-7  # eigenvector condition ~ 1e7: fallback regime
+        return m
+
+    @pytest.mark.parametrize("gap", [1e-7, 1e-11], ids=["cond-2e7", "cond-2e11"])
+    def test_poorly_conditioned_is_refused(self, gap):
+        # above EIGVEC_COND_MAX = 1e6 the eigendecomposition logarithm would
+        # lose more than about 1e-10; there is no second method
+        assert np.linalg.cond(np.linalg.eig(self.near_defective(gap))[1]) > 1e6
+        with pytest.raises(NonDiagonalizable):
+            logm(self.near_defective(gap), 0.1)
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-5], ids=["cond-2e3", "cond-2e5"])
+    def test_conditioned_below_threshold_round_trips(self, gap):
+        m = self.near_defective(gap)
         gen = logm(m, 0.1)
         assert np.linalg.norm(expm(gen, 0.1) - m) < 1e-8 * np.linalg.norm(m)
 

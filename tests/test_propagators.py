@@ -478,6 +478,17 @@ class TestQuapiPropagate:
         dense = quapi_propagate(system_dense, coeffs, 8)
         assert np.max(np.abs(commuting.maps - dense.maps)) < 1e-12
 
+    @pytest.mark.parametrize("h_s, commuting", [
+        (0.6 * SX + 0.25 * SZ, False), (0.3 * SZ, True), (1e150 * SX, False),
+        (1e154 * SX, False), (1.5e308 * (SX + SY), False), (1e300 * SZ + 1e-300 * SX, True),
+    ], ids=["dense", "commuting", "1e150", "1e154", "1.5e308", "huge-diagonal"])
+    def test_commuting_test_cannot_overflow(self, h_s, commuting):
+        # the test's scale is finite for finite entries; a Frobenius norm
+        # overflows from about 1.3e154 and then passes any off-diagonal
+        system = SystemSpec(h_s=h_s, coupling_op=0.5 * SZ)
+        coeffs = eta_coefficients(ZERO, 0.0, 0.1, 2)
+        assert propagators._path_setup(system, coeffs)[4] is commuting
+
     def test_trace_preserving(self, subohmic_run, monkeypatch):
         _, _, _, series = subohmic_run
         monkeypatch.setattr("dynamap.maps.TRACE_TOL", 1e-8)

@@ -4,7 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import random_lindblad_generator
-from dynamap.errors import DimensionMismatch
+from dynamap.errors import DimensionMismatch, DynamapError
 from dynamap.lindblad import RateSeries
 from dynamap.maps import DynamicalMapSeries, expm
 from dynamap.serialization import (
@@ -93,6 +93,15 @@ class TestBinaryContainer:
         path.write_bytes(path.read_bytes()[:100])
         with pytest.raises(DimensionMismatch):
             read_map_series(path)
+
+    def test_non_finite_map_rejected(self, series, tmp_path):
+        # a numerical failure, not a cache miss (DimensionMismatch)
+        path = tmp_path / "maps.dmap"
+        write_map_series(path, series)
+        path.write_bytes(path.read_bytes()[:-8] + np.float64(np.nan).tobytes())
+        with pytest.raises(DynamapError, match="1 of 7 maps have a non-finite entry") as err:
+            read_map_series(path)
+        assert not isinstance(err.value, DimensionMismatch)
 
     @given(series=map_series_cases())
     @example(series=lindblad_series())

@@ -26,8 +26,14 @@ beyond the memory budget (``OUT/memory-budget/``); ``tl`` on the
 embedding propagator whose ``mode_frequency`` is NaN, whose ``coupling`` is
 infinite, or whose ``mode_frequency = 1e308`` overflows the generator, and
 with a Lindblad propagator at ``rate = inf`` (``OUT/non-finite-*/`` and
-``OUT/overflowing-mode-frequency/``); and ``tl`` on the ``lindblad``
-preset with ``dt`` under ``[extrapolation]`` (``OUT/misplaced-key/``).
+``OUT/overflowing-mode-frequency/``); ``tl`` on the ``lindblad`` preset
+with ``dt`` under ``[extrapolation]`` (``OUT/misplaced-key/``);
+``generate`` on the ``subohmic`` preset at ``hz = 1e308``, whose maps are
+not finite (``OUT/non-finite-maps/``), and on the ``drude_lorentz`` preset
+at ``hx = 1e154``, where a Frobenius norm of H_S overflows
+(``OUT/overflowing-norm/``); and ``singvals`` on the ``lindblad`` preset
+with ``hx = nan`` (``OUT/non-finite-field/``) and with the record field
+``h_s = 1``, which is no INI key (``OUT/operator-key/``).
 The invocations run one at a time, from TREE unless said otherwise, with
 BLAS and OpenMP pinned to one thread. Each writes under
 ``OUT/<config>/<step>/``: the files it wrote in ``out/``, and ``stdout``,
@@ -69,6 +75,12 @@ INI_CASES = (
      "[system]\npreset = lindblad\n\n[propagator]\ntype = lindblad\nrate = inf\n", "generate"),
     ("misplaced-key", "misplaced_key.ini",
      "[system]\npreset = lindblad\n\n[extrapolation]\ndt = 0.05\n", "tl"),
+    ("non-finite-maps", "huge_field.ini", "[system]\npreset = subohmic\nhz = 1e308\n",
+     "generate"),
+    ("overflowing-norm", "huge_tunneling.ini", "[system]\npreset = drude_lorentz\nhx = 1e154\n",
+     "generate"),
+    ("non-finite-field", "nan_field.ini", "[system]\npreset = lindblad\nhx = nan\n", "singvals"),
+    ("operator-key", "operator_key.ini", "[system]\npreset = lindblad\nh_s = 1\n", "singvals"),
 )
 
 
